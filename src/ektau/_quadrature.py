@@ -9,6 +9,7 @@ tolerance and reports the last inter-level difference as the error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["QuadratureResult", "integrate_annulus", "integrate_disk", "integrate_rect"]
+__all__ = ["QuadratureResult", "integrate_annulus", "leggauss"]
 
 MAX_DOUBLINGS = 8
 _CHUNK_POINTS = 1 << 22  # cap on grid points evaluated at once
@@ -34,8 +35,21 @@ class QuadratureResult:
         return self.value
 
 
+@functools.lru_cache(maxsize=64)
+def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of order n, cached by order.
+
+    numpy solves an eigenproblem for them, at a cost growing about as n^3,
+    while callers ask for the same few orders over and over.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _annulus_level(f, r0, r1, n_r, n_theta):
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    nodes, weights = leggauss(n_r)
     s = 0.5 * (nodes + 1.0)
     ws = 0.5 * weights
     if r0 > 0.0:
@@ -70,40 +84,6 @@ def integrate_annulus(
         n_r *= 2
         n_theta *= 2
         cur = _annulus_level(f, r0, r1, n_r, n_theta)
-        err = abs(cur - prev)
-        if err <= rel_tol * max(abs(cur), 1e-300):
-            return QuadratureResult(cur, err, level + 1)
-        prev = cur
-    raise ConvergenceError(
-        f"quadrature did not reach rel_tol={rel_tol}", best=prev
-    )
-
-
-def integrate_disk(f, radius: float, rel_tol: float = 1e-6, n0: int = 32) -> QuadratureResult:
-    """Integral of f(x, y) dx dy over the disk of model radius `radius`."""
-    return integrate_annulus(f, 0.0, radius, rel_tol=rel_tol, n0=n0)
-
-
-def _rect_level(f, x0, x1, y0, y1, n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * (x1 - x0) * (nodes + 1.0) + x0
-    wx = 0.5 * (x1 - x0) * weights
-    y = 0.5 * (y1 - y0) * (nodes + 1.0) + y0
-    wy = 0.5 * (y1 - y0) * weights
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    return float(np.einsum("i,j,ij->", wx, wy, f(X, Y)))
-
-
-def integrate_rect(
-    f, x0: float, x1: float, y0: float, y1: float,
-    rel_tol: float = 1e-6, n0: int = 32,
-) -> QuadratureResult:
-    """Integral of f(x, y) dx dy over the axis-aligned rectangle."""
-    n = n0
-    prev = _rect_level(f, x0, x1, y0, y1, n)
-    for level in range(1, MAX_DOUBLINGS + 1):
-        n *= 2
-        cur = _rect_level(f, x0, x1, y0, y1, n)
         err = abs(cur - prev)
         if err <= rel_tol * max(abs(cur), 1e-300):
             return QuadratureResult(cur, err, level + 1)

@@ -4,6 +4,8 @@ Ball volumes are estimated by rejection sampling against a bounding
 cylinder (exponential-map Jacobians are avoided because of conjugate
 points).  Ball centers other than the origin reduce to the origin by the
 ambient isometries, so volumes are computed for origin-centered balls.
+Nil3 membership is exact: each sample solves the one-dimensional geodesic
+reduction of ``geodesics.nil_distance_reduced`` until it is decided.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PointE, SpaceParams
-from .errors import ConvergenceError, UnsupportedSpaceError
+from .errors import UnsupportedSpaceError
 from .geodesics import (
     distance,
     hyperbolic_distance,
+    nil_distance_reduced,
     nil_group_translate,
     nil_max_height,
     sl2_max_height_bound,
@@ -27,10 +30,8 @@ __all__ = [
     "BallSpec",
     "VolumeEstimate",
     "GrowthFit",
-    "NilBallProfile",
     "bounding_cylinder",
     "in_ball",
-    "nil_ball_profile",
     "mc_volume",
     "comparison_cylinder_volume",
     "sl2_volume_bracket",
@@ -38,8 +39,6 @@ __all__ = [
 ]
 
 MC_CHUNK = 1 << 16  # samples per RNG stream; fixed so results are chunk-count independent
-PROFILE_NC = 4000   # phi resolution of the Nil ball profile
-PROFILE_BINS = 800  # radial bins of the Nil ball profile
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,11 @@ def in_ball(ball: BallSpec, p: PointE, tol: float = 1e-10) -> bool:
     disk_r, height = bounding_cylinder(ball)
     if sp.is_nil:
         q = nil_group_translate(sp.tau, ball.center, p)
-        if math.hypot(q.x, q.y) >= disk_r + tol or abs(q.z) >= height + tol:
+        rho = math.hypot(q.x, q.y)
+        if rho >= disk_r + tol or abs(q.z) >= height + tol:
             return False
-    elif sp.is_product or sp.is_sl2:
+        return bool(nil_distance_reduced(sp.tau, rho, q.z, radius=ball.radius))
+    if sp.is_product or sp.is_sl2:
         if (
             hyperbolic_distance(sp.kappa, ball.center.base(), p.base())
             >= ball.radius + tol
@@ -118,96 +119,6 @@ def in_ball(ball: BallSpec, p: PointE, tol: float = 1e-10) -> bool:
         ):
             return False
     return distance(sp, ball.center, p, tol=tol) < ball.radius
-
-
-# ---------------------------------------------------------------------------
-# Nil3 ball profile
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NilBallProfile:
-    """Height profile z_max(rho) of the ball B_R(0) in Nil3(tau).
-
-    Built from the forward image of the closed-form geodesic family; the
-    ball is the solid of revolution {rho <= R, |z| <= z_max(rho)}.  The
-    representation is cross-validated against the shooting distance solver
-    in the test-suite.
-    """
-
-    tau: float
-    radius: float
-    rho_grid: np.ndarray
-    zmax: np.ndarray
-
-    def contains(self, rho, z):
-        """Vectorized membership of (rho, z) in the ball."""
-        rho = np.asarray(rho, dtype=float)
-        z = np.asarray(z, dtype=float)
-        zcap = np.interp(rho, self.rho_grid, self.zmax)
-        return (rho <= self.radius) & (np.abs(z) <= zcap)
-
-
-def nil_ball_profile(
-    tau: float,
-    R: float,
-    n_phi: int = PROFILE_NC,
-    n_bins: int = PROFILE_BINS,
-) -> NilBallProfile:
-    """Tabulate z_max(rho) over B_R(0) from the (phi, t) geodesic family.
-
-    z is strictly increasing in arclength along every non-horizontal
-    geodesic, so the extreme height over the slice at radius rho is
-    attained at the largest t <= R with rho(phi, t) = rho; that t solves
-    |sin(tau c t)| = rho tau c / sin(phi) in closed form, leaving only a
-    smooth maximization over phi.
-    """
-    phi = np.linspace(1e-6, 0.5 * math.pi * (1.0 - 1e-9), n_phi)[:, None]
-    c = np.cos(phi)
-    s = np.sin(phi)
-    w = tau * c
-    amp = s / w  # radial amplitude of the projected circle (diameter)
-    rho = np.linspace(0.0, R * (1.0 - 0.5 / n_bins), n_bins)[None, :]
-    ratio = np.clip(rho / amp, 0.0, 1.0)
-    beta = np.arcsin(ratio)
-    W = w * R
-    # largest t <= R with w t congruent to +-beta mod pi
-    k_plus = np.floor((W - beta) / math.pi)
-    k_minus = np.floor((W + beta) / math.pi)
-    t_plus = (k_plus * math.pi + beta) / w
-    t_minus = (k_minus * math.pi - beta) / w
-    t_star = np.maximum(np.where(t_plus >= 0.0, t_plus, -np.inf),
-                        np.where(t_minus >= 0.0, t_minus, -np.inf))
-    reachable = (rho <= amp) & (t_star >= 0.0)
-    t_star = np.where(reachable, t_star, 0.0)
-    u = w * t_star
-    z = (1.0 + c * c) / (2.0 * c) * t_star - s * s / (4.0 * tau * c * c) * np.sin(2.0 * u)
-    z = np.where(reachable, np.abs(z), 0.0)
-    zmax = z.max(axis=0)
-
-    # The per-phi suprema frequently sit exactly on the sphere t = R, between
-    # phi samples; rasterize that boundary curve densely to close the gap.
-    pb = np.linspace(1e-7, 0.5 * math.pi * (1.0 - 1e-9), 50 * n_phi)
-    cb, sb = np.cos(pb), np.sin(pb)
-    wb = tau * cb
-    rho_b = sb / wb * np.abs(np.sin(wb * R))
-    z_b = np.abs(
-        (1.0 + cb * cb) / (2.0 * cb) * R
-        - sb * sb / (4.0 * tau * cb * cb) * np.sin(2.0 * wb * R)
-    )
-    seg_z = np.maximum(z_b[:-1], z_b[1:])
-    width = R / n_bins
-    lo = np.clip((np.minimum(rho_b[:-1], rho_b[1:]) / width).astype(np.int64), 0, n_bins - 1)
-    hi = np.clip((np.maximum(rho_b[:-1], rho_b[1:]) / width).astype(np.int64), 0, n_bins - 1)
-    np.maximum.at(zmax, lo, seg_z)
-    np.maximum.at(zmax, hi, seg_z)
-    wide = np.nonzero(hi - lo > 1)[0]
-    for i in wide:
-        zmax[lo[i]: hi[i] + 1] = np.maximum(zmax[lo[i]: hi[i] + 1], seg_z[i])
-
-    grid = np.concatenate((rho[0], [R]))
-    vals = np.concatenate((zmax, [0.0]))
-    vals[0] = nil_max_height(tau, R)
-    return NilBallProfile(tau, R, grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +164,6 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     disk_r, height = bounding_cylinder(ball)
     lebesgue = math.pi * disk_r**2 * 2.0 * height
 
-    profile = nil_ball_profile(sp.tau, R) if sp.is_nil else None
-
     total = 0.0
     total_sq = 0.0
     n_done = 0
@@ -267,7 +176,7 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
             hit = x * x + y * y + z * z < R * R
             vals = hit.astype(float)
         elif sp.is_nil:
-            hit = profile.contains(np.hypot(x, y), z)
+            hit = nil_distance_reduced(sp.tau, np.hypot(x, y), z, radius=R)
             vals = hit.astype(float)
         else:  # product kappa < 0, tau = 0
             sk = math.sqrt(-sp.kappa)

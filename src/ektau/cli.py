@@ -6,10 +6,11 @@ unknown config keys are rejected.  Output is RFC-4180-style CSV (LF line
 endings, '.' decimal) or JSON with stable key order validating against the
 schema shipped in ektau/schemas/output.schema.json.
 
-Exit codes: 0 success, 2 usage/validation error, 3 hypothesis violation,
-4 numerical failure.  Output is bit-identical for identical parameters and
-seed; the EKTAU_THREADS environment variable (or --threads) sizes worker
-pools but never changes results, since all reductions are index-ordered.
+Exit codes: 0 success, 2 usage/validation error or a space the command
+does not support, 3 hypothesis violation, 4 numerical failure.  Output is
+bit-identical for identical parameters and seed; the EKTAU_THREADS
+environment variable (or --threads) sizes worker pools but never changes
+results, since all reductions are index-ordered.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ import sys
 import numpy as np
 
 from .core import FrameVector, PointE, SpaceParams
-from .errors import ConvergenceError, HypothesisViolationError, ModelDomainError
+from .errors import (
+    ConvergenceError,
+    HypothesisViolationError,
+    ModelDomainError,
+    UnsupportedSpaceError,
+)
 from .balls import BallSpec, mc_volume, volume_growth_fit
 from .geodesics import (
     GeodesicSpec,
@@ -328,7 +334,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config(parser, args, argv)
         args.run(args)
-    except CliError as exc:
+    except (CliError, UnsupportedSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypothesisViolationError as exc:

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .core import FrameVector, PointE, SpaceParams, coord_to_frame, frame_to_coord
+from ._quadrature import leggauss
+from .core import FrameVector, PointE, SpaceParams, coord_to_frame
 from .errors import ConvergenceError, ModelDomainError, UnsupportedSpaceError
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "delta_alpha",
     "nil_group_translate",
     "hyperbolic_distance",
+    "nil_distance_reduced",
     "distance",
     "distance_upper_bound",
     "measure_distance_equivalence",
@@ -51,6 +53,9 @@ __all__ = [
 sl2_families = ("horizontal", "elliptic", "parabolic", "hyperbolic")
 
 _VERTICAL_EPS = 1e-14
+_REDUCTION_EPS = 4.0 * np.finfo(float).eps  # relative step at which the reduction has converged
+_REDUCTION_MAX_ITER = 100
+_REDUCTION_TINY = 2.0**-60  # relative size below which a closed form is exact to rounding
 
 
 @dataclass(frozen=True)
@@ -456,13 +461,113 @@ def hyperbolic_distance(kappa: float, p, q) -> float:
     return (1.0 / math.sqrt(-kappa)) * 2.0 * math.atanh(r)
 
 
-def _nil_rho2_z(tau, c, t):
-    """(rho^2, z) reached at arclength t with vertical cosine c in (0, 1)."""
-    s2 = 1.0 - c * c
-    u = tau * c * t
-    rho2 = s2 / (tau * c) ** 2 * np.sin(u) ** 2
-    z = (1.0 + c * c) / (2.0 * c) * t - s2 / (4.0 * tau * c * c) * np.sin(2.0 * u)
-    return rho2, z
+def _nil_reduction_terms(t, tau, rho):
+    """f(u), D(u) and f'(u) du/dt at the half-angle t = tan(u/2).
+
+    t keeps relative precision at both ends of u in (0, pi): t ~ u/2 near 0
+    and t ~ 2/(pi - u) near pi, where sin u = 2t / (1 + t^2) stays exact.
+    """
+    u = 2.0 * np.arctan(t)
+    du_dt = 2.0 / (1.0 + t * t)
+    s = t * du_dt
+    c = du_dt - 1.0
+    q = u / s
+    x = 2.0 * u
+    x2 = x * x
+    # g = (2u - sin 2u) / (4 sin^2 u), by its Taylor series where the difference cancels
+    series = x * q * q * (1.0 / 6 - x2 * (1.0 / 120 - x2 * (
+        1.0 / 5040 - x2 * (1.0 / 362880 - x2 / 39916800))))
+    g = np.divide(x - 2.0 * s * c, 4.0 * s * s, out=series, where=x > 0.1)
+    r2 = rho * rho
+    f = u / tau + tau * r2 * g
+    d = np.hypot(u / tau, rho * q)
+    df_dt = (1.0 / tau + tau * r2 * (1.0 - 2.0 * g * c / s)) * du_dt
+    return f, d, df_dt
+
+
+def nil_distance_reduced(tau: float, rho, z, radius: float | None = None):
+    """Vectorized Nil3(tau) distances from the origin to the points at
+    horizontal radius rho and height z, by the exact one-dimensional reduction.
+
+    For rho > 0 the minimizing geodesic to (rho, z) has a parameter u in
+    (0, pi), the root of f(u) = |z| with
+    f(u) = u/tau + tau rho^2 (2u - sin 2u) / (4 sin^2 u), and the distance
+    is D(u) = u sqrt(1/tau^2 + rho^2 / sin^2 u) (Marenich, "Geodesics in
+    Heisenberg groups", Geom. Dedicata 66, 1997).  f and D increase with u.
+    The root is found by Newton steps in t = tan(u/2) inside a bracket that
+    every probe narrows; a step leaving the bracket is replaced by
+    bisection.
+
+    With a radius it returns the membership d < radius instead: a sample is
+    then dropped as soon as D at one end of its bracket puts the distance on
+    one side of the radius, so only samples next to the sphere iterate until
+    the reduction converges.  The probes do not depend on the radius, so
+    membership agrees with the distance form up to rounding.
+    """
+    rho, z = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                 np.abs(np.asarray(z, dtype=float)))
+    shape = rho.shape
+    rho, z = rho.ravel(), z.ravel()
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(z))):
+        raise ValueError("rho and z must be finite")
+    axis_d = np.where(tau * z <= math.pi, z,
+                      np.sqrt(np.maximum(math.pi * (2.0 * tau * z - math.pi), 0.0)) / tau)
+    # a horizontal segment of length rho and a fiber segment of length |z|
+    # bound |d(rho, z) - d(0, z)| and |d(rho, z) - rho|: below rounding here
+    flat = z <= _REDUCTION_TINY * rho
+    solve = ~flat & (rho > _REDUCTION_TINY * axis_d)
+    trivial_d = np.where(flat, rho, axis_d)
+    if radius is None:
+        out = np.where(solve, np.nan, trivial_d)
+    else:
+        out = ~solve & (trivial_d < radius)
+        solve &= rho < radius  # D >= rho on (0, pi)
+    idx = np.nonzero(solve)[0]
+    rr, zz = rho[idx], z[idx]
+    r2 = rr * rr
+
+    # first probe: the smaller root of the small-u slope f ~ (1/tau + tau rho^2/3) u
+    # and of the near-pi asymptote f ~ pi/tau + tau rho^2 pi / (2 (pi - u)^2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v0 = np.sqrt(tau * math.pi * r2 / (2.0 * (zz - math.pi / tau)))
+    u0 = np.minimum(zz / (1.0 / tau + tau * r2 / 3.0),
+                    np.where(v0 < math.pi, math.pi - v0, math.pi))
+    t = np.tan(0.5 * u0)
+    lo, d_lo = np.zeros_like(t), rr
+    hi, d_hi = np.full_like(t, np.inf), np.full_like(t, np.inf)
+    for _ in range(_REDUCTION_MAX_ITER):
+        if idx.size == 0:
+            break
+        f, d, df_dt = _nil_reduction_terms(t, tau, rr)
+        f -= zz
+        step = f / df_dt
+        below = f < 0.0
+        lo, d_lo = np.where(below, t, lo), np.where(below, d, d_lo)
+        hi, d_hi = np.where(below, hi, t), np.where(below, d_hi, d)
+        done = (np.abs(step) <= _REDUCTION_EPS * t) | (hi - lo <= _REDUCTION_EPS * lo)
+        root = np.clip(t[done] - step[done], lo[done], hi[done])
+        d_root = _nil_reduction_terms(root, tau, rr[done])[1]
+        if radius is None:
+            out[idx[done]] = d_root
+        else:
+            inside, outside = d_hi < radius, d_lo >= radius
+            out[idx[done]] = d_root < radius
+            out[idx[inside]] = True
+            out[idx[outside]] = False
+            done |= inside | outside
+        nxt = t - step  # else bisect log t, or halve or double while an end is open
+        mid = np.where(lo > 0.0, np.sqrt(lo * hi), 0.5 * hi)
+        nxt = np.where((nxt > lo) & (nxt < hi), nxt, np.where(np.isfinite(hi), mid, 2.0 * lo))
+        keep = ~done
+        idx, rr, zz, t = idx[keep], rr[keep], zz[keep], nxt[keep]
+        lo, d_lo, hi, d_hi = lo[keep], d_lo[keep], hi[keep], d_hi[keep]
+    if idx.size:
+        raise ConvergenceError(
+            f"Nil3 distance reduction did not converge at {idx.size} points, "
+            f"e.g. rho={rho[idx[0]]:.17g}, z={z[idx[0]]:.17g}",
+            best=float(np.max(d_hi)),
+        )
+    return out.reshape(shape)
 
 
 def _nil_distance_origin(tau: float, x: float, y: float, z: float,
@@ -565,7 +670,7 @@ def distance_upper_bound(sp: SpaceParams, p: PointE, q: PointE,
     """
     if not sp.is_sl2:
         return distance(sp, p, q)
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = leggauss(n_quad)
     s = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     xs = p.x + s * (q.x - p.x)

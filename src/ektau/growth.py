@@ -10,16 +10,17 @@ statements and say so via their tolerances, never certifying a limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ._quadrature import integrate_annulus
+from ._quadrature import leggauss
 from .core import BasePoint, SpaceParams
 from .errors import HypothesisViolationError, UnsupportedSpaceError
-from .balls import GrowthFit, nil_ball_profile, volume_growth_fit
+from .balls import GrowthFit, volume_growth_fit
+from .geodesics import nil_distance_reduced
 from .graphs import (
     GraphSurface,
     _area_density,
@@ -86,10 +87,8 @@ def _extrinsic_membership(g: GraphSurface, R: float):
     """Vectorized membership of the graph point over (x, y) in B_R(0)."""
     sp = g.sp
     if sp.is_nil:
-        profile = nil_ball_profile(sp.tau, R)
-
         def member(x, y):
-            return profile.contains(np.hypot(x, y), g.u(x, y))
+            return nil_distance_reduced(sp.tau, np.hypot(x, y), g.u(x, y), radius=R)
 
         return member
     if sp.is_euclidean:
@@ -142,7 +141,7 @@ def _extrinsic_area(g: GraphSurface, R: float, n_theta: int = 256,
     eps = r_lo + 1e-9 * max(r_cap, 1.0)
     on_ray = member(eps * np.cos(theta), eps * np.sin(theta))
     stop = np.where(on_ray, _ray_stop(member, theta, eps, r_cap), eps)
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    nodes, weights = leggauss(n_r)
     half = 0.5 * (stop - eps)
     r = eps + half[:, None] * (nodes + 1.0)
     w = half[:, None] * weights

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._quadrature import integrate_annulus
+from ._quadrature import integrate_annulus, leggauss
 from .core import SpaceParams
 from .errors import ConvergenceError, HypothesisViolationError
 from .graphs import BaseDomain, GraphSurface
@@ -182,7 +182,7 @@ def catenoid_height(tau: float, E: float, r) -> np.ndarray:
     if np.any(r < E * (1.0 - 1e-6)):
         raise ValueError("r must be >= E")
     wmax = np.arccosh(np.maximum(r / E, 1.0))
-    nodes, weights = np.polynomial.legendre.leggauss(HEIGHT_QUAD_ORDER)
+    nodes, weights = leggauss(HEIGHT_QUAD_ORDER)
     w = 0.5 * wmax[..., None] * (nodes + 1.0)
     integrand = E * np.sqrt(1.0 + (tau * E * np.cosh(w)) ** 2)
     out = 0.5 * wmax * np.sum(weights * integrand, axis=-1)
@@ -328,7 +328,7 @@ def ideal_polygon_area_numeric(kappa: float, n: int, n_quad: int = 2000) -> floa
     """
     if kappa >= 0.0:
         raise ValueError("kappa must be negative")
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = leggauss(n_quad)
     t = 0.5 * math.pi * nodes
     wt = 0.5 * math.pi * weights
     integrand = np.cos(t) / np.sqrt(1.0 - np.sin(t) ** 2)

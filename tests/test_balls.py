@@ -1,9 +1,10 @@
-"""Tests for ball volumes: profiles, Monte Carlo, brackets, growth fits."""
+"""Tests for ball volumes: membership, Monte Carlo, brackets, growth fits."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ektau.core import PointE, SpaceParams
 from ektau.errors import UnsupportedSpaceError
@@ -13,11 +14,15 @@ from ektau.balls import (
     comparison_cylinder_volume,
     in_ball,
     mc_volume,
-    nil_ball_profile,
     sl2_volume_bracket,
     volume_growth_fit,
 )
-from ektau.geodesics import distance, nil_max_height
+from ektau.geodesics import (
+    distance,
+    nil_distance_reduced,
+    nil_group_translate,
+    nil_max_height,
+)
 
 ORIGIN = PointE(0.0, 0.0, 0.0)
 
@@ -69,42 +74,86 @@ class TestMembership:
         assert in_ball(ball, PointE(c.x + 0.3, c.y, c.z))
         assert not in_ball(ball, ORIGIN)
 
+    def test_nil_point_near_the_plane(self):
+        # the shooting solver behind distance() finds no branch here
+        sp = SpaceParams(0.0, 1.2241624854912188)
+        ball = BallSpec(sp, ORIGIN, 5.0)
+        assert in_ball(ball, PointE(4.675362118938841, 0.0, 1e-5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tau=st.floats(0.3, 2.0),
+        radius=st.floats(0.5, 4.0),
+        center=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-5, 5)),
+        offset=st.tuples(st.floats(-4, 4), st.floats(-4, 4), st.floats(-8, 8)),
+        g=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-5, 5)),
+    )
+    def test_nil_off_center_ball_is_translated(self, tau, radius, center, offset, g):
+        """B_R(c) contains p iff B_R(0) contains c^-1 p, iff B_R(g c) contains g p."""
+        sp = SpaceParams(0.0, tau)
+        c = PointE(*center)
+        g_inv = PointE(-g[0], -g[1], -g[2])
+        q = PointE(*offset)
+        p = nil_group_translate(tau, PointE(-c.x, -c.y, -c.z), q)  # p = c q
+        d = float(nil_distance_reduced(tau, math.hypot(q.x, q.y), q.z))
+        if abs(d - radius) <= 1e-9 * radius:
+            return
+        inside = in_ball(BallSpec(sp, c, radius), p)
+        assert inside == (d < radius)
+        assert inside == in_ball(BallSpec(sp, ORIGIN, radius), nil_group_translate(tau, c, p))
+        moved = BallSpec(sp, nil_group_translate(tau, g_inv, c), radius)
+        assert inside == in_ball(moved, nil_group_translate(tau, g_inv, p))
+
 
 class TestNilProfile:
-    def test_axis_value_is_max_height(self):
-        prof = nil_ball_profile(1.0, 4.0)
-        assert math.isclose(prof.zmax[0], nil_max_height(1.0, 4.0), rel_tol=1e-12)
+    """The Nil3 ball as a solid of revolution: exact membership by the
+    one-dimensional geodesic reduction."""
+
+    def test_axis_height_is_exact(self):
+        # on the axis the ball of radius 4 reaches (16 + pi^2) / (2 pi) = 4.117,
+        # below the height 5.878 that its bounding cylinder reaches off the axis
+        tau, R = 1.0, 4.0
+        axis = (R * R + math.pi**2) / (2.0 * math.pi)
+        rho = np.array([0.0, 1e-4, 0.0, 0.0, 0.0])
+        z = np.array([5.0, 5.0, 4.1, axis * (1 - 1e-12), axis * (1 + 1e-12)])
+        inside = nil_distance_reduced(tau, rho, z, radius=R)
+        assert inside.tolist() == [False, False, True, True, False]
+        assert nil_max_height(tau, R) > 5.8
 
     def test_boundary_value_is_zero(self):
-        prof = nil_ball_profile(1.0, 2.0)
-        assert prof.zmax[-1] == 0.0
-        assert prof.rho_grid[-1] == 2.0
+        R = 2.0
+        got = nil_distance_reduced(1.0, np.array([R * (1 - 1e-12), R, R]),
+                                   np.array([0.0, 0.0, 1e-6]), radius=R)
+        assert got.tolist() == [True, False, False]
 
     @pytest.mark.parametrize("tau,R", [(1.0, 2.0), (1.0, 4.0), (0.5, 1.0), (2.0, 3.0)])
     def test_profile_agrees_with_distance_solver(self, tau, R):
-        """Random points near and inside the ball classify identically,
-        outside a thin tolerance band around the boundary."""
+        """Random points near and inside the ball classify as the shooting
+        solver does, outside a band of its tolerance around the sphere."""
         sp = SpaceParams(0.0, tau)
-        prof = nil_ball_profile(tau, R)
         rng = np.random.default_rng(int(10 * tau) * 100 + int(R))
         height = nil_max_height(tau, R)
-        band = 3e-3 * R
+        band = 1e-8 * R
+        rho = rng.uniform(0.0, 1.1 * R, 150)
+        z = rng.uniform(0.0, 1.1 * height, 150)
+        got = nil_distance_reduced(tau, rho, z, radius=R)
         checked = 0
-        for _ in range(150):
-            rho = rng.uniform(0.0, 1.1 * R)
-            z = rng.uniform(0.0, 1.1 * height)
-            d = distance(sp, ORIGIN, PointE(rho, 0.0, z))
+        for r, h, inside in zip(rho, z, got):
+            d = distance(sp, ORIGIN, PointE(r, 0.0, h))
             if abs(d - R) < band:
                 continue
-            got = bool(prof.contains(rho, z))
-            assert got == (d < R), (rho, z, d)
+            assert inside == (d < R), (r, h, d)
             checked += 1
         assert checked > 100
 
     def test_contains_is_vectorized(self):
-        prof = nil_ball_profile(1.0, 2.0)
-        out = prof.contains(np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.5, 0.0]))
+        out = nil_distance_reduced(1.0, np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.5, 0.0]),
+                                   radius=2.0)
         assert out.tolist() == [True, True, False]
+        grid = nil_distance_reduced(1.0, np.array([[0.5], [1.5]]), np.array([0.1, 3.0]),
+                                    radius=2.0)
+        assert grid.shape == (2, 2)
+        assert grid.tolist() == [[True, False], [True, False]]
 
 
 class TestMcVolume:

@@ -88,6 +88,15 @@ class TestBallVolume:
         code, _, _ = run_cli(capsys, "ball-volume", "--samples", "10")
         assert code == EXIT_USAGE
 
+    def test_unsupported_space_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ball-volume", "--kappa", "-1", "--tau", "1", "--radii", "2",
+            "--samples", "10000", "--seed", "1",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_json_validates(self, capsys, schema):
         code, out, _ = run_cli(
             capsys, "ball-volume", "--format", "json", "--radii", "1,2",

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ektau.core import FrameVector, PointE, SpaceParams, coord_to_frame
-from ektau.errors import ModelDomainError, UnsupportedSpaceError
+import ektau.geodesics
+from ektau.errors import ConvergenceError, ModelDomainError, UnsupportedSpaceError
 from ektau.geodesics import (
     GeodesicSpec,
     delta_alpha,
@@ -17,6 +18,7 @@ from ektau.geodesics import (
     hyperbolic_distance,
     integrate_geodesic,
     measure_distance_equivalence,
+    nil_distance_reduced,
     nil_geodesic_closed,
     nil_geodesic_velocity,
     nil_group_translate,
@@ -322,7 +324,95 @@ class TestDistance:
         d = nil_group_translate(1.0, p, p)
         assert d.x == d.y == d.z == 0.0
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="the shooting solver finds no branch near the plane")
+    @pytest.mark.parametrize("z", [5.477e-7, 1e-6, 1e-5])
+    def test_nil_point_near_the_plane(self, z):
+        sp = SpaceParams(0.0, 1.2241624854912188)
+        q = PointE(4.675362118938841, 0.0, z)
+        d = distance(sp, PointE(0, 0, 0), q)
+        assert math.isclose(d, nil_distance_reduced(sp.tau, q.x, q.z), rel_tol=1e-9)
+
     def test_measured_equivalence_constants(self):
         m, M = measure_distance_equivalence(1.0, n=40, seed=3)
         assert 0.0 < m <= M < math.inf
         assert M < 3.0  # loose sanity window for tau = 1
+
+
+TAUS = st.floats(0.1, 10.0)
+RHOS = st.one_of(st.just(0.0), st.floats(1e-6, 50.0))
+HEIGHTS = st.one_of(st.just(0.0), st.floats(1e-6, 500.0), st.floats(-500.0, -1e-6))
+
+
+class TestNilReduction:
+    """The one-dimensional reduction against the shooting solver, closed-form
+    geodesics and the isometries and homotheties of Nil3."""
+
+    @pytest.mark.parametrize("tau,rho,z", [
+        (1.0, 1.0, 2.0), (0.4, 2.5, 7.0), (1.7, 0.9, 12.0), (1.0, 1e-3, 4.0),
+        (2.0, 5e-3, 6.0), (0.5, 2.0, 1e-2), (1.3, 1.5, 0.3),
+    ])
+    def test_agrees_with_shooting_solver(self, tau, rho, z):
+        shot = distance(SpaceParams(0.0, tau), PointE(0, 0, 0), PointE(rho, 0.0, z))
+        assert math.isclose(nil_distance_reduced(tau, rho, z), shot, rel_tol=1e-9)
+
+    def test_axis_and_plane(self):
+        # on the axis: z below pi/tau, else the u = pi limit; in the plane: rho
+        tau = 1.0
+        d = nil_distance_reduced(tau, np.array([0.0, 0.0, 3.0, 0.0]),
+                                 np.array([2.0, 10.0, 0.0, 0.0]))
+        assert np.allclose(d, [2.0, math.sqrt(math.pi * (20.0 - math.pi)), 3.0, 0.0], rtol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tau=st.floats(0.2, 5.0), phi=st.floats(0.01, math.pi / 2 - 0.01),
+           theta=st.floats(0.0, 2 * math.pi), frac=st.floats(0.01, 0.99))
+    def test_closed_form_geodesics_minimize_before_the_cut_locus(self, tau, phi, theta, frac):
+        t = frac * math.pi / (tau * math.cos(phi))  # u = tau cos(phi) t < pi
+        p = nil_geodesic_closed(tau, phi, theta, t)
+        d = nil_distance_reduced(tau, math.hypot(p.x, p.y), p.z)
+        assert math.isclose(d, t, rel_tol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tau=TAUS, rho=RHOS, z=HEIGHTS, s=st.floats(0.01, 100.0))
+    def test_homothety(self, tau, rho, z, s):
+        """(x, y, z) -> s (x, y, z) carries s^2 g_tau to g_{tau/s}."""
+        d = nil_distance_reduced(tau, rho, z)
+        scaled = nil_distance_reduced(tau / s, s * rho, s * z) / s
+        assert math.isclose(d, scaled, rel_tol=1e-12, abs_tol=1e-300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tau=TAUS, rho=RHOS, z1=HEIGHTS, z2=HEIGHTS)
+    def test_monotone_in_height(self, tau, rho, z1, z2):
+        lo, hi = sorted((abs(z1), abs(z2)))
+        d = nil_distance_reduced(tau, rho, np.array([lo, -hi]))
+        assert d[0] <= d[1] * (1.0 + 1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tau=TAUS, rho=st.lists(RHOS, min_size=1, max_size=20),
+           z=HEIGHTS, radius=st.floats(0.01, 100.0))
+    def test_membership_agrees_with_distance(self, tau, rho, z, radius):
+        rho = np.array(rho)
+        d = nil_distance_reduced(tau, rho, z)
+        inside = nil_distance_reduced(tau, rho, z, radius=radius)
+        clear = np.abs(d - radius) > 1e-12 * radius
+        assert np.array_equal(inside[clear], (d < radius)[clear])
+
+    @settings(max_examples=50, deadline=None)
+    @given(tau=st.floats(0.3, 2.0), p=st.tuples(*[st.floats(-3, 3)] * 3),
+           q=st.tuples(*[st.floats(-3, 3)] * 3), r=st.tuples(*[st.floats(-3, 3)] * 3))
+    def test_triangle_inequality(self, tau, p, q, r):
+        def d(a, b):
+            t = nil_group_translate(tau, PointE(*a), PointE(*b))
+            return float(nil_distance_reduced(tau, math.hypot(t.x, t.y), t.z))
+
+        assert d(p, r) <= d(p, q) + d(q, r) + 1e-12
+        assert math.isclose(d(p, q), d(q, p), rel_tol=1e-12, abs_tol=1e-300)
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError):
+            nil_distance_reduced(1.0, np.array([1.0, np.nan]), 2.0)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(ektau.geodesics, "_REDUCTION_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            nil_distance_reduced(1.0, 1.0, 2.0)
