@@ -4,8 +4,11 @@ Ball volumes are estimated by rejection sampling against a bounding
 cylinder (exponential-map Jacobians are avoided because of conjugate
 points).  Ball centers other than the origin reduce to the origin by the
 ambient isometries, so volumes are computed for origin-centered balls.
-Nil3 membership is exact: each sample solves the one-dimensional geodesic
-reduction of ``geodesics.nil_distance_reduced`` until it is decided.
+These are invariant under rotation about the z-axis, as are the volume
+density and the cylinder, so a sample is drawn as its horizontal radius and
+height only.  Nil3 membership is exact: each sample solves the
+one-dimensional geodesic reduction of ``geodesics.nil_distance_reduced``
+until it is decided.
 """
 
 from __future__ import annotations
@@ -130,12 +133,14 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _sample_cylinder(rng, n, disk_r, height):
-    """Uniform Lebesgue samples (x, y, z) in the model cylinder."""
+    """Uniform Lebesgue samples (rho, z) in the model cylinder, rho = hypot(x, y).
+
+    The chunk's stream holds rows of radius, angle and height draws.  The
+    angle row is drawn but not read, so that the stream layout, and with it
+    every published volume, stays fixed.
+    """
     u = rng.random((3, n))
-    rho = disk_r * np.sqrt(u[0])
-    ang = 2.0 * math.pi * u[1]
-    z = height * (2.0 * u[2] - 1.0)
-    return rho * np.cos(ang), rho * np.sin(ang), z
+    return disk_r * np.sqrt(u[0]), height * (2.0 * u[2] - 1.0)
 
 
 def comparison_cylinder_volume(tau: float, R: float) -> float:
@@ -171,22 +176,23 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     while n_done < n_samples:
         n = min(MC_CHUNK, n_samples - n_done)
         rng = _chunk_rng(seed, chunk)
-        x, y, z = _sample_cylinder(rng, n, disk_r, height)
-        if sp.is_euclidean:
-            hit = x * x + y * y + z * z < R * R
-            vals = hit.astype(float)
-        elif sp.is_nil:
-            hit = nil_distance_reduced(sp.tau, np.hypot(x, y), z, radius=R)
-            vals = hit.astype(float)
-        else:  # product kappa < 0, tau = 0
+        rho, z = _sample_cylinder(rng, n, disk_r, height)
+        if sp.is_product:  # kappa < 0, tau = 0
             sk = math.sqrt(-sp.kappa)
-            rho = np.hypot(x, y)
             dh = (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * rho, 1.0 - 1e-16))
             hit = dh * dh + z * z < R * R
-            lam = 1.0 / (1.0 + 0.25 * sp.kappa * (x * x + y * y))
+            lam = 1.0 / (1.0 + 0.25 * sp.kappa * rho * rho)
             vals = hit * lam**2
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals * vals))
+        else:  # the integrand is the ball indicator, which is its own square
+            if sp.is_euclidean:
+                hit = rho * rho + z * z < R * R
+            else:
+                hit = nil_distance_reduced(sp.tau, rho, z, radius=R)
+            hits = int(np.count_nonzero(hit))
+            total += hits
+            total_sq += hits
         n_done += n
         chunk += 1
 

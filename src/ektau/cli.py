@@ -6,16 +6,21 @@ unknown config keys are rejected.  Output is RFC-4180-style CSV (LF line
 endings, '.' decimal) or JSON with stable key order validating against the
 schema shipped in ektau/schemas/output.schema.json.
 
-Exit codes: 0 success, 2 usage/validation error or a space the command
-does not support, 3 hypothesis violation, 4 numerical failure.  Output is
-bit-identical for identical parameters and seed; the EKTAU_THREADS
-environment variable (or --threads) sizes worker pools but never changes
-results, since all reductions are index-ordered.
+Exit codes: 0 success, 2 usage/validation error (including a nan or
+infinite numeric flag) or a space the command does not support,
+3 hypothesis violation, 4 numerical failure.  Output is bit-identical for
+identical parameters and seed.  --threads is accepted for interface
+stability and ignored: there is no worker pool, all work runs in the
+calling thread, and the EKTAU_THREADS environment variable is not read.
+
+The argument parser is built once per process, on first use, and never
+mutated; config values are applied on a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -107,8 +112,8 @@ def _parse_radii(spec: str):
         radii = [float(x) for x in spec.split(",") if x]
     except ValueError as exc:
         raise CliError(f"bad radii list {spec!r}") from exc
-    if not radii or any(r <= 0 for r in radii):
-        raise CliError("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise CliError("radii must be positive and finite")
     return radii
 
 
@@ -125,6 +130,8 @@ def _space(args) -> SpaceParams:
 
 def cmd_geodesic(args) -> None:
     sp = _space(args)
+    if args.steps < 1:
+        raise CliError("steps must be at least 1")
     if sp.kappa == 0.0 and sp.tau > 0.0:
         if not (0.0 <= args.phi <= math.pi):
             raise CliError("phi must lie in [0, pi]")
@@ -185,13 +192,19 @@ def _build_example(args, sp: SpaceParams):
     name = args.example
     if name == "umbrella":
         return umbrella(sp)
-    if name == "plane":
-        return affine_plane(sp.tau, args.a_coef, args.b_coef)
-    if name == "fmp":
-        return fmp_surface(sp.tau, args.theta_param)
-    if name == "catenoid":
-        return catenoid(sp.tau, args.neck, args.r_max)
-    raise CliError(f"unknown example {name!r}")
+    nil_only = {
+        "plane": lambda: affine_plane(sp.tau, args.a_coef, args.b_coef),
+        "fmp": lambda: fmp_surface(sp.tau, args.theta_param),
+        "catenoid": lambda: catenoid(sp.tau, args.neck, args.r_max),
+    }
+    if name not in nil_only:
+        raise CliError(f"unknown example {name!r}")
+    if sp.kappa != 0.0:
+        raise UnsupportedSpaceError(f"example {name!r} is defined for kappa = 0 only")
+    try:
+        return nil_only[name]()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def cmd_growth(args) -> None:
@@ -251,7 +264,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker pool size hint; results are independent of it")
+                   help="accepted and ignored; all work runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,35 +317,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser, args, argv):
-    """Overlay config-file values under explicit flags."""
+_shared_parser = functools.cache(build_parser)
+
+
+def _apply_config(args, argv):
+    """Overlay config-file values under explicit flags.
+
+    The values become the subcommand's defaults on a fresh parser, which
+    re-parses argv, so explicit flags win and the shared parser is never
+    changed.
+    """
     if not args.config:
         return args
-    known = {
-        a.dest
-        for a in parser._subparsers._group_actions[0].choices[args.command]._actions
-        if a.dest not in ("help",)
-    }
-    cfg = read_config(args.config, known)
-    if not cfg:
-        return args
-    # re-parse with config values as defaults so explicit flags win
+    parser = build_parser()
     sub = parser._subparsers._group_actions[0].choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     defaults = {}
-    for action in sub._actions:
-        if action.dest in cfg:
-            raw = cfg[action.dest]
-            defaults[action.dest] = action.type(raw) if action.type else raw
+    for key, raw in read_config(args.config, actions).items():
+        action = actions[key]
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError as exc:
+            raise CliError(f"config key {key!r}: bad value {raw!r}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise CliError(f"config key {key!r}: {raw!r} is not one of {action.choices}")
+        defaults[key] = value
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
+def _check_finite(args) -> None:
+    """Reject nan and infinite float flags; --r-max may be +inf (no truncation)."""
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            if key == "r_max" and value == math.inf:
+                continue
+            raise CliError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(parser, args, argv)
+        args = _shared_parser().parse_args(argv)
+        args = _apply_config(args, argv)
+        _check_finite(args)
         args.run(args)
     except (CliError, UnsupportedSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,17 +44,18 @@ FD_STEP = 1e-5  # default central-difference step for field derivatives
 class SpaceParams:
     """The pair (kappa, tau) selecting the ambient space.
 
-    kappa <= 0 is the base curvature, tau >= 0 the bundle curvature.
+    kappa <= 0 is the base curvature, tau >= 0 the bundle curvature; both
+    are finite.
     """
 
     kappa: float
     tau: float
 
     def __post_init__(self):
-        if not (self.kappa <= 0.0):
-            raise ValueError(f"kappa must be <= 0, got {self.kappa}")
-        if not (self.tau >= 0.0):
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not (-math.inf < self.kappa <= 0.0):
+            raise ValueError(f"kappa must be finite and <= 0, got {self.kappa}")
+        if not (0.0 <= self.tau < math.inf):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
     @property
     def is_euclidean(self) -> bool:

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from ektau.core import PointE, SpaceParams
 from ektau.errors import UnsupportedSpaceError
 from ektau.balls import (
+    MC_CHUNK,
     BallSpec,
+    _chunk_rng,
     bounding_cylinder,
     comparison_cylinder_volume,
     in_ball,
@@ -203,6 +205,58 @@ class TestMcVolume:
         ball = BallSpec(SpaceParams(-1.0, 1.0), ORIGIN, 1.0)
         with pytest.raises(UnsupportedSpaceError):
             mc_volume(ball, 10_000, seed=0)
+
+
+def reference_mc_volume(ball, n_samples, seed):
+    """Reference chunk loop: every sample drawn as (x, y, z) from the same streams."""
+    sp, R = ball.sp, ball.radius
+    disk_r, height = bounding_cylinder(ball)
+    lebesgue = math.pi * disk_r**2 * 2.0 * height
+    total = total_sq = 0.0
+    n_done = chunk = 0
+    while n_done < n_samples:
+        n = min(MC_CHUNK, n_samples - n_done)
+        u = _chunk_rng(seed, chunk).random((3, n))
+        rho = disk_r * np.sqrt(u[0])
+        ang = 2.0 * math.pi * u[1]
+        x, y, z = rho * np.cos(ang), rho * np.sin(ang), height * (2.0 * u[2] - 1.0)
+        if sp.is_euclidean:
+            vals = (x * x + y * y + z * z < R * R).astype(float)
+        elif sp.is_nil:
+            vals = nil_distance_reduced(sp.tau, np.hypot(x, y), z, radius=R).astype(float)
+        else:
+            sk = math.sqrt(-sp.kappa)
+            dh = (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * np.hypot(x, y), 1.0 - 1e-16))
+            lam = 1.0 / (1.0 + 0.25 * sp.kappa * (x * x + y * y))
+            vals = (dh * dh + z * z < R * R) * lam**2
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+        n_done += n
+        chunk += 1
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return lebesgue * mean, lebesgue * math.sqrt(var / n_samples)
+
+
+class TestAngleFreeSampling:
+    """Balls are rotation-invariant, so only the radius and height draws of
+    each sample are read; the results equal the (x, y, z) chunk loop's."""
+
+    @pytest.mark.parametrize("n_samples,seed,R", [
+        (1000, 0, 0.5), (5000, 7, 1.0), (50_001, 123, 2.0), (65_536, 3, 3.7),
+        (200_000, 42, 1.3),
+    ])
+    @pytest.mark.parametrize("kappa,tau", [(0.0, 0.0), (0.0, 1.0), (0.0, 0.5), (-1.0, 0.0)])
+    def test_matches_the_xyz_chunk_loop(self, kappa, tau, n_samples, seed, R):
+        ball = BallSpec(SpaceParams(kappa, tau), ORIGIN, R)
+        est = mc_volume(ball, n_samples, seed)
+        value, std_error = reference_mc_volume(ball, n_samples, seed)
+        assert type(est.value) is float and type(est.std_error) is float
+        if kappa == 0.0:
+            assert (est.value, est.std_error) == (value, std_error)
+        else:
+            assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
 
 
 class TestSl2Bracket:

@@ -9,6 +9,7 @@ from ektau.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -216,3 +217,67 @@ class TestConfigAndOutput:
         ])
         capsys.readouterr()
         assert path.read_bytes() == outs[0]
+
+
+class TestBadNumericInput:
+    @pytest.mark.parametrize("argv,config", [
+        ("ball-volume --tau inf --samples 1000", None),
+        ("ball-volume --kappa nan --samples 1000", None),
+        ("ball-volume --radii nan", None),
+        ("ball-volume --radii inf", None),
+        ("growth --example umbrella --radii nan", None),
+        ("collin-krust --radii inf", None),
+        ("geodesic --t-end nan", None),
+        ("geodesic --t-end inf", None),
+        ("geodesic --steps -3", None),
+        ("geodesic --steps 0", None),
+        ("geodesic --theta nan", None),
+        ("geodesic --phi nan", None),
+        ("geodesic --kappa -1 --a nan", None),
+        ("growth --example catenoid --neck nan", None),
+        ("growth --example catenoid --neck -1", None),
+        ("growth --example fmp --tau 0", None),
+        ("growth --example plane --a-coef inf", None),
+        ("geodesic", "steps=abc"),
+        ("geodesic", "t_end=nan"),
+        ("geodesic", "format=xml"),
+    ])
+    def test_exits_2_with_an_error_line(self, capsys, tmp_path, argv, config):
+        argv = argv.split()
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config + "\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestNilOnlyExamples:
+    @pytest.mark.parametrize("command,example", [
+        ("collin-krust", "catenoid"), ("growth", "fmp"), ("growth", "plane"),
+    ])
+    def test_nonzero_kappa_exits_2(self, capsys, command, example):
+        code, out, err = run_cli(
+            capsys, command, "--example", example, "--kappa", "-1", "--radii", "5,10"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "kappa" in err
+
+
+class TestSharedParser:
+    def test_config_does_not_leak_into_the_next_call(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t-end = 2.0\nsteps = 4\n")
+        code, out, _ = run_cli(capsys, "geodesic", "--config", str(cfg))
+        assert code == EXIT_OK and len(out.splitlines()) == 6
+        code, out, _ = run_cli(capsys, "geodesic")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 102
+        assert float(lines[-1].split(",")[0]) == 5.0
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
