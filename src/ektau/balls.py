@@ -6,9 +6,10 @@ points).  Ball centers other than the origin reduce to the origin by the
 ambient isometries, so volumes are computed for origin-centered balls.
 These are invariant under rotation about the z-axis, as are the volume
 density and the cylinder, so a sample is drawn as its horizontal radius and
-height only.  Nil3 membership is exact: each sample solves the
-one-dimensional geodesic reduction of ``geodesics.nil_distance_reduced``
-until it is decided.
+height only.  ``ball_membership`` decides membership in every space that
+has an exact distance; in Nil3 each sample solves the one-dimensional
+geodesic reduction of ``geodesics.nil_distance_reduced`` until it is
+decided.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import numpy as np
 from .core import PointE, SpaceParams
 from .errors import UnsupportedSpaceError
 from .geodesics import (
+    ball_height,
+    base_disk_model_radius,
     distance,
     hyperbolic_distance,
     nil_distance_reduced,
     nil_group_translate,
-    nil_max_height,
     sl2_max_height_bound,
 )
 
@@ -34,6 +36,7 @@ __all__ = [
     "VolumeEstimate",
     "GrowthFit",
     "bounding_cylinder",
+    "ball_membership",
     "in_ball",
     "mc_volume",
     "comparison_cylinder_volume",
@@ -90,18 +93,30 @@ def bounding_cylinder(ball: BallSpec) -> tuple[float, float]:
 
     The base disk has intrinsic radius R, hence Euclidean model radius
     (2/sqrt(-kappa)) tanh(sqrt(-kappa) R / 2) for kappa < 0.  The height is
-    sharp for Nil3 and an upper bound for kappa < 0, tau > 0.
+    sharp except for kappa < 0, tau > 0, where it is an upper bound.
     """
     sp, R = ball.sp, ball.radius
-    if sp.is_euclidean:
-        return R, R
+    return base_disk_model_radius(sp, R), ball_height(sp, R)
+
+
+def ball_membership(sp: SpaceParams, rho, z, R: float):
+    """Vectorized membership of the points at model radius rho, height z in B_R(0).
+
+    Nil3 solves the exact one-dimensional geodesic reduction; R^3 and
+    H^2 x R use d^2 = d_base^2 + z^2 < R^2.  kappa < 0, tau > 0 has no
+    exact distance and raises UnsupportedSpaceError.
+    """
     if sp.is_nil:
-        return R, nil_max_height(sp.tau, R)
-    sk = math.sqrt(-sp.kappa)
-    disk = (2.0 / sk) * math.tanh(0.5 * sk * R)
+        return nil_distance_reduced(sp.tau, rho, z, radius=R)
+    if sp.is_sl2:
+        raise UnsupportedSpaceError(
+            "exact kappa<0, tau>0 ball membership unavailable; use sl2_volume_bracket"
+        )
+    d_base = rho
     if sp.is_product:
-        return disk, R
-    return disk, sl2_max_height_bound(sp, R)
+        sk = math.sqrt(-sp.kappa)
+        d_base = (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * rho, 1.0 - 1e-16))
+    return d_base * d_base + z * z < R * R
 
 
 def in_ball(ball: BallSpec, p: PointE, tol: float = 1e-10) -> bool:
@@ -113,7 +128,7 @@ def in_ball(ball: BallSpec, p: PointE, tol: float = 1e-10) -> bool:
         rho = math.hypot(q.x, q.y)
         if rho >= disk_r + tol or abs(q.z) >= height + tol:
             return False
-        return bool(nil_distance_reduced(sp.tau, rho, q.z, radius=ball.radius))
+        return bool(ball_membership(sp, rho, q.z, ball.radius))
     if sp.is_product or sp.is_sl2:
         if (
             hyperbolic_distance(sp.kappa, ball.center.base(), p.base())
@@ -157,15 +172,12 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     density lambda^2 times the ball indicator (the density is 1 for
     kappa = 0); the standard error is the sample standard deviation of that
     integrand, which reduces to the binomial-proportion formula when the
-    density is constant.
+    density is constant.  kappa < 0, tau > 0 raises UnsupportedSpaceError
+    (see sl2_volume_bracket).
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
     sp, R = ball.sp, ball.radius
-    if sp.is_sl2:
-        raise UnsupportedSpaceError(
-            "exact kappa<0, tau>0 ball volume unavailable; use sl2_volume_bracket"
-        )
     disk_r, height = bounding_cylinder(ball)
     lebesgue = math.pi * disk_r**2 * 2.0 * height
 
@@ -177,19 +189,13 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
         n = min(MC_CHUNK, n_samples - n_done)
         rng = _chunk_rng(seed, chunk)
         rho, z = _sample_cylinder(rng, n, disk_r, height)
+        hit = ball_membership(sp, rho, z, R)
         if sp.is_product:  # kappa < 0, tau = 0
-            sk = math.sqrt(-sp.kappa)
-            dh = (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * rho, 1.0 - 1e-16))
-            hit = dh * dh + z * z < R * R
             lam = 1.0 / (1.0 + 0.25 * sp.kappa * rho * rho)
             vals = hit * lam**2
             total += float(np.sum(vals))
             total_sq += float(np.sum(vals * vals))
         else:  # the integrand is the ball indicator, which is its own square
-            if sp.is_euclidean:
-                hit = rho * rho + z * z < R * R
-            else:
-                hit = nil_distance_reduced(sp.tau, rho, z, radius=R)
             hits = int(np.count_nonzero(hit))
             total += hits
             total_sq += hits

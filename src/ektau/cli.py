@@ -7,11 +7,10 @@ endings, '.' decimal) or JSON with stable key order validating against the
 schema shipped in ektau/schemas/output.schema.json.
 
 Exit codes: 0 success, 2 usage/validation error (including a nan or
-infinite numeric flag) or a space the command does not support,
-3 hypothesis violation, 4 numerical failure.  Output is bit-identical for
-identical parameters and seed.  --threads is accepted for interface
-stability and ignored: there is no worker pool, all work runs in the
-calling thread, and the EKTAU_THREADS environment variable is not read.
+infinite numeric flag, and geodesic --family or --a for kappa >= 0, where
+they select nothing) or a space the command does not support,
+3 hypothesis violation, 4 numerical failure.  All work runs in the calling
+thread, and output is bit-identical for identical parameters and seed.
 
 The argument parser is built once per process, on first use, and never
 mutated; config values are applied on a fresh parser.
@@ -24,8 +23,6 @@ import functools
 import json
 import math
 import sys
-
-import numpy as np
 
 from .core import FrameVector, PointE, SpaceParams
 from .errors import (
@@ -42,7 +39,13 @@ from .geodesics import (
     sl2_geodesic_velocity,
     sl2_families,
 )
-from .growth import RegionFamily, collin_krust_sweep, growth_verdict, region_area
+from .growth import (
+    FAMILY_TAGS,
+    RegionFamily,
+    collin_krust_sweep,
+    growth_verdict,
+    region_area,
+)
 from .surfaces import catenoid, fmp_surface, umbrella, affine_plane
 
 __all__ = ["main"]
@@ -132,15 +135,19 @@ def cmd_geodesic(args) -> None:
     sp = _space(args)
     if args.steps < 1:
         raise CliError("steps must be at least 1")
+    family = args.family
+    if sp.kappa >= 0.0 and (family is not None or args.a is not None):
+        raise CliError("--family and --a select kappa<0 families only")
     if sp.kappa == 0.0 and sp.tau > 0.0:
         if not (0.0 <= args.phi <= math.pi):
             raise CliError("phi must lie in [0, pi]")
         v0 = nil_geodesic_velocity(sp.tau, args.phi, args.theta, 0.0)
     elif sp.kappa < 0.0:
-        if args.family not in sl2_families:
+        family = "horizontal" if family is None else family
+        if family not in sl2_families:
             raise CliError(f"family must be one of {sl2_families}")
         try:
-            v0 = sl2_geodesic_velocity(sp, args.family, args.a, 0.0)
+            v0 = sl2_geodesic_velocity(sp, family, args.a, 0.0)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     else:
@@ -157,7 +164,7 @@ def cmd_geodesic(args) -> None:
         )
     params = {
         "kappa": args.kappa, "tau": args.tau, "phi": args.phi,
-        "theta": args.theta, "family": args.family, "a": args.a,
+        "theta": args.theta, "family": family, "a": args.a,
         "t_end": args.t_end, "steps": args.steps,
     }
     emit(args, "geodesic", params,
@@ -210,8 +217,7 @@ def _build_example(args, sp: SpaceParams):
 def cmd_growth(args) -> None:
     sp = _space(args)
     surface = _build_example(args, sp)
-    fam_tag = {"intrinsic": "intrinsic_ball", "extrinsic": "extrinsic_ball",
-               "cylinder": "cylinder"}.get(args.family)
+    fam_tag = FAMILY_TAGS.get(args.family)
     if fam_tag is None:
         raise CliError("family must be intrinsic, extrinsic or cylinder")
     radii = _parse_radii(args.radii)
@@ -263,8 +269,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored; all work runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--phi", type=float, default=math.pi / 2)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--family", default="horizontal", help="kappa<0 family")
+    p.add_argument("--family", default=None,
+                   help="kappa<0 family (default horizontal); rejected for kappa>=0")
     p.add_argument("--a", type=float, default=None, help="kappa<0 family parameter")
     p.add_argument("--t-end", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=100)

@@ -15,7 +15,7 @@ forms are cross-validated against the ODE system in the test-suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -41,6 +41,8 @@ __all__ = [
     "zeta_r_prime",
     "zeta_critical_points",
     "sl2_max_height_bound",
+    "ball_height",
+    "base_disk_model_radius",
     "delta_alpha",
     "nil_group_translate",
     "hyperbolic_distance",
@@ -60,26 +62,14 @@ _REDUCTION_TINY = 2.0**-60  # relative size below which a closed form is exact t
 
 @dataclass(frozen=True)
 class GeodesicSpec:
-    """Initial data of a geodesic plus an optional closed-form family tag.
-
-    family is one of 'numeric', 'nil_closed', 'sl2_horizontal',
-    'sl2_elliptic', 'sl2_parabolic', 'sl2_hyperbolic', 'product'.
-    Family parameters (phi, theta for Nil3; a for the sl2 families) go in
-    params.
-    """
+    """Initial data of a geodesic: start point and unit frame velocity."""
 
     start: PointE
     direction: FrameVector
-    family: str = "numeric"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if abs(self.direction.norm() - 1.0) > 1e-10:
             raise ValueError("direction must be a unit frame vector")
-        if self.family == "nil_closed":
-            phi = self.params.get("phi")
-            if phi is None or not (0.0 <= phi <= math.pi):
-                raise ValueError("nil_closed requires phi in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -425,6 +415,27 @@ def sl2_max_height_bound(sp: SpaceParams, R: float) -> float:
     elliptic = (1.0 - (8.0 * t * t - k) / k) * R - 2.0 * math.pi * t / k
     parab = math.sqrt(4.0 * t * t - k) / math.sqrt(-k) * R - 2.0 * math.pi * t / k
     return max(elliptic, parab)
+
+
+def ball_height(sp: SpaceParams, R: float) -> float:
+    """Half-height of a cylinder containing the ball B_R(0).
+
+    Sharp (the maximum |z| over the ball) except for kappa < 0, tau > 0,
+    where it is the linear upper bound of sl2_max_height_bound.
+    """
+    if sp.is_nil:
+        return nil_max_height(sp.tau, R)
+    if sp.is_sl2:
+        return sl2_max_height_bound(sp, R)
+    return R
+
+
+def base_disk_model_radius(sp: SpaceParams, R: float) -> float:
+    """Model (Euclidean) radius of the base disk of intrinsic radius R."""
+    if sp.kappa == 0.0:
+        return R
+    sk = math.sqrt(-sp.kappa)
+    return (2.0 / sk) * math.tanh(0.5 * sk * R)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from ._quadrature import QuadratureResult, integrate_annulus
 from .core import BasePoint, SpaceParams
 from .errors import HypothesisViolationError
-from .geodesics import hyperbolic_distance
+from .geodesics import ball_height, base_disk_model_radius, hyperbolic_distance
 
 __all__ = [
     "BoundaryArc",
@@ -35,7 +35,6 @@ __all__ = [
     "graph_fields",
     "mean_curvature",
     "graph_area",
-    "base_disk_model_radius",
     "base_disk_area_weighted",
     "base_circle_length",
     "lemma41_bound",
@@ -279,14 +278,6 @@ def graph_area(g: GraphSurface, r_outer: float, rel_tol: float = 1e-6,
     return integrate_annulus(_area_density(g, full_mask), r0, r1, rel_tol=rel_tol)
 
 
-def base_disk_model_radius(sp: SpaceParams, R: float) -> float:
-    """Model (Euclidean) radius of the base disk of intrinsic radius R."""
-    if sp.kappa == 0.0:
-        return R
-    sk = math.sqrt(-sp.kappa)
-    return (2.0 / sk) * math.tanh(0.5 * sk * R)
-
-
 def base_circle_length(sp: SpaceParams, R: float) -> float:
     """Length of the base circle of intrinsic radius R in M^2(kappa)."""
     if sp.kappa == 0.0:
@@ -378,16 +369,6 @@ class Lemma42Bound:
         return self.interior_term + self.height_term
 
 
-def _default_height(sp: SpaceParams, R: float) -> float:
-    from .geodesics import nil_max_height, sl2_max_height_bound
-
-    if sp.is_nil:
-        return nil_max_height(sp.tau, R)
-    if sp.kappa < 0.0 and sp.tau > 0.0:
-        return sl2_max_height_bound(sp, R)
-    return R
-
-
 def lemma41_bound(g: GraphSurface, R: float, h=None) -> Lemma41Bound:
     """Upper bound on area(Sigma meet B_R) for graphs with controlled boundary.
 
@@ -396,7 +377,7 @@ def lemma41_bound(g: GraphSurface, R: float, h=None) -> Lemma41Bound:
     h(R)) and the finite-value arcs Gamma(R) (weighted by |u|).
     """
     sp = g.sp
-    hR = h(R) if callable(h) else (h if h is not None else _default_height(sp, R))
+    hR = h(R) if callable(h) else (h if h is not None else ball_height(sp, R))
     re = base_disk_model_radius(sp, R)
     area = base_disk_area_weighted(g, R, with_z=False)
     z_int = base_disk_area_weighted(g, R, with_z=True)
@@ -415,7 +396,7 @@ def lemma41_bound(g: GraphSurface, R: float, h=None) -> Lemma41Bound:
 def lemma42_bound(g: GraphSurface, R: float, h=None) -> Lemma42Bound:
     """Coarser area bound using the full boundary length of Omega(R)."""
     sp = g.sp
-    hR = h(R) if callable(h) else (h if h is not None else _default_height(sp, R))
+    hR = h(R) if callable(h) else (h if h is not None else ball_height(sp, R))
     re = base_disk_model_radius(sp, R)
     interior = base_disk_area_weighted(g, R, with_z=False) + base_disk_area_weighted(
         g, R, with_z=True

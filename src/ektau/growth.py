@@ -17,18 +17,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ._quadrature import leggauss
-from .core import BasePoint, SpaceParams
-from .errors import HypothesisViolationError, UnsupportedSpaceError
-from .balls import GrowthFit, volume_growth_fit
-from .geodesics import nil_distance_reduced
-from .graphs import (
-    GraphSurface,
-    _area_density,
-    _gu_components,
-    _quad_limits,
-    base_disk_model_radius,
-    graph_area,
-)
+from .core import SpaceParams
+from .errors import ConvergenceError, HypothesisViolationError
+from .balls import GrowthFit, ball_membership, volume_growth_fit
+from .geodesics import base_disk_model_radius
+from .graphs import GraphSurface, _area_density, _gu_components, _quad_limits, graph_area
 from .surfaces import ExampleSurface, catenoid, fmp_surface, umbrella, affine_plane
 
 __all__ = [
@@ -49,16 +42,19 @@ VERDICT_EXACT_TOL = 0.4         # power-exponent window for "exactly" claims
 VERDICT_RATE_TOL = 0.10         # relative window for exponential rates
 VERDICT_RESIDUAL_MAX = 0.2      # rms log-residual beyond which fits are inconclusive
 
+# family names of the CLI and the table rows, and the region-family tags they select
+FAMILY_TAGS = {"extrinsic": "extrinsic_ball", "intrinsic": "intrinsic_ball",
+               "cylinder": "cylinder"}
+
 
 @dataclass(frozen=True)
 class RegionFamily:
     """One of the three region families cut against the surface."""
 
     tag: str
-    center: BasePoint = BasePoint(0.0, 0.0)
 
     def __post_init__(self):
-        if self.tag not in ("intrinsic_ball", "extrinsic_ball", "cylinder"):
+        if self.tag not in FAMILY_TAGS.values():
             raise ValueError(f"unknown family tag {self.tag!r}")
 
 
@@ -69,10 +65,9 @@ class GrowthReport:
     surface: str
     family: str
     samples: tuple
-    fit: GrowthFit | None
+    fit: GrowthFit
     expected: dict
     verdict: str
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -81,35 +76,6 @@ class GrowthReport:
 
 def _graph(g) -> GraphSurface:
     return g.graph if isinstance(g, ExampleSurface) else g
-
-
-def _extrinsic_membership(g: GraphSurface, R: float):
-    """Vectorized membership of the graph point over (x, y) in B_R(0)."""
-    sp = g.sp
-    if sp.is_nil:
-        def member(x, y):
-            return nil_distance_reduced(sp.tau, np.hypot(x, y), g.u(x, y), radius=R)
-
-        return member
-    if sp.is_euclidean:
-        def member(x, y):
-            u = g.u(x, y)
-            return x * x + y * y + u * u < R * R
-
-        return member
-    if sp.is_product:
-        sk = math.sqrt(-sp.kappa)
-
-        def member(x, y):
-            rho = np.hypot(x, y)
-            dh = (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * rho, 1.0 - 1e-16))
-            u = g.u(x, y)
-            return dh * dh + u * u < R * R
-
-        return member
-    raise UnsupportedSpaceError(
-        "extrinsic balls need a distance-capable space (not kappa<0, tau>0)"
-    )
 
 
 def _ray_stop(member, theta, r_lo, r_hi, n_bisect: int = 48):
@@ -133,9 +99,8 @@ def _ray_stop(member, theta, r_lo, r_hi, n_bisect: int = 48):
 def _extrinsic_area(g: GraphSurface, R: float, n_theta: int = 256,
                     n_r: int = 96) -> float:
     """Area of the graph inside B_R(0) by per-ray radial quadrature."""
-    sp = g.sp
-    member = _extrinsic_membership(g, R)
-    re = base_disk_model_radius(sp, R)
+    member = lambda x, y: ball_membership(g.sp, np.hypot(x, y), g.u(x, y), R)
+    re = base_disk_model_radius(g.sp, R)
     r_lo, r_cap = _quad_limits(g, re)
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     eps = r_lo + 1e-9 * max(r_cap, 1.0)
@@ -206,7 +171,9 @@ def intrinsic_area_table(g: GraphSurface, radii, n0: int = INTRINSIC_BASE_N,
     """Areas of the surface geodesic balls B_R for all radii at once.
 
     The Dijkstra distance field is refined (grid doubling) until every
-    radius is stable to the requested relative tolerance.
+    radius is stable to the requested relative tolerance; ConvergenceError,
+    carrying the finest areas in ``best``, is raised if four levels do not
+    reach it.
     """
     radii = np.asarray(radii, dtype=float)
     L = base_disk_model_radius(g.sp, float(np.max(radii)))
@@ -221,7 +188,9 @@ def intrinsic_area_table(g: GraphSurface, radii, n0: int = INTRINSIC_BASE_N,
             return areas
         prev = areas
         n = 2 * n - 1
-    return prev
+    raise ConvergenceError(
+        f"intrinsic areas not stable to {stability} after 4 grid levels", best=areas
+    )
 
 
 def region_area(g, fam: RegionFamily, R: float) -> float:
@@ -355,17 +324,12 @@ def collin_krust_sweep(g: GraphSurface, radii, n_grid: int = 512,
 # Table suite
 # ---------------------------------------------------------------------------
 
-def _measure(surface, fam_tag, radii):
-    fam = RegionFamily(fam_tag)
-    return [(float(R), region_area(surface, fam, R), 0.0) for R in radii]
-
-
 def table1_suite(selection=None) -> list[GrowthReport]:
-    """Run the implemented growth rows; uninstantiable rows are reported.
+    """Run the growth rows (all five by default, or the named selection).
 
-    Rows without printed surface formulas (ideal Scherk graphs, k-noids,
-    entire CMC graphs with subcritical curvature) return verdict
-    'inconclusive' with note 'not instantiable' rather than being skipped.
+    Only rows with printed surface formulas are listed; ideal Scherk
+    graphs, k-noids and entire CMC graphs with subcritical curvature have
+    none and are not rows.
     """
     rows = {
         "umbrella-nil": lambda: _row(
@@ -393,27 +357,15 @@ def table1_suite(selection=None) -> list[GrowthReport]:
             [2, 3, 4.5, 6.75, 10, 15],
             {"model": "power", "value": 3.0, "comparison": "at_most"},
         ),
-        "ideal-scherk": lambda: _not_instantiable("ideal-scherk"),
-        "k-noid": lambda: _not_instantiable("k-noid"),
-        "entire-cmc-subcritical": lambda: _not_instantiable("entire-cmc-subcritical"),
     }
     names = selection or list(rows)
     return [rows[name]() for name in names]
 
 
 def _row(surface, family, radii, expected) -> GrowthReport:
-    tag = {"extrinsic": "extrinsic_ball", "intrinsic": "intrinsic_ball",
-           "cylinder": "cylinder"}[family]
-    samples = _measure(surface, tag, radii)
+    fam = RegionFamily(FAMILY_TAGS[family])
+    samples = [(float(R), region_area(surface, fam, R), 0.0) for R in radii]
     verdict, fit = growth_verdict(
         [s[0] for s in samples], [s[1] for s in samples], expected
     )
-    return GrowthReport(surface.name, tag, tuple(samples), fit, expected, verdict)
-
-
-def _not_instantiable(name: str) -> GrowthReport:
-    return GrowthReport(
-        name, "extrinsic_ball", (), None,
-        {"model": "power", "value": 3.0, "comparison": "at_most"},
-        "inconclusive", "not instantiable: no printed surface formulas",
-    )
+    return GrowthReport(surface.name, fam.tag, tuple(samples), fit, expected, verdict)

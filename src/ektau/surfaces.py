@@ -2,8 +2,8 @@
 
 Each constructor returns an ExampleSurface bundling a GraphSurface with a
 dictionary of named closed forms (callables of the radius) used by the
-growth harness and the test-suite.  The registry at the bottom exposes the
-examples by name to the CLI.
+growth harness and the test-suite.  The CLI names the examples it can
+build in ``cli._build_example``; this module keeps no registry.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from scipy.integrate import solve_ivp
 from ._quadrature import integrate_annulus, leggauss
 from .core import SpaceParams
 from .errors import ConvergenceError, HypothesisViolationError
+from .geodesics import base_disk_model_radius
 from .graphs import BaseDomain, GraphSurface
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "cmc_profile",
     "ideal_polygon_area",
     "ideal_polygon_area_numeric",
-    "EXAMPLES",
 ]
 
 HEIGHT_QUAD_ORDER = 200  # Gauss-Legendre order of the catenoid height integral
@@ -68,7 +68,6 @@ def _umbrella_area(sp: SpaceParams, R: float) -> float:
         t2 = sp.tau**2
         return 2.0 * math.pi / (3.0 * t2) * ((1.0 + t2 * R * R) ** 1.5 - 1.0)
     sk = math.sqrt(-sp.kappa)
-    re = (2.0 / sk) * math.tanh(0.5 * sk * R)
     if sp.tau == 0.0:
         return (4.0 * math.pi / -sp.kappa) * math.sinh(0.5 * sk * R) ** 2
 
@@ -77,7 +76,7 @@ def _umbrella_area(sp: SpaceParams, R: float) -> float:
         lam = 1.0 / (1.0 + 0.25 * sp.kappa * r * r)
         return np.sqrt(1.0 + sp.tau**2 * r * r) * lam * lam
 
-    return integrate_annulus(f, 0.0, re, rel_tol=1e-9).value
+    return integrate_annulus(f, 0.0, base_disk_model_radius(sp, R), rel_tol=1e-9).value
 
 
 def umbrella(sp: SpaceParams) -> ExampleSurface:
@@ -334,12 +333,3 @@ def ideal_polygon_area_numeric(kappa: float, n: int, n_quad: int = 2000) -> floa
     integrand = np.cos(t) / np.sqrt(1.0 - np.sin(t) ** 2)
     triangle = float(np.sum(wt * integrand)) / -kappa
     return (2 * n - 2) * triangle
-
-
-EXAMPLES = {
-    "umbrella": umbrella,
-    "plane": affine_plane,
-    "fmp": fmp_surface,
-    "catenoid": catenoid,
-    "ideal-polygon": ideal_polygon_area,
-}

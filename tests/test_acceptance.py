@@ -7,11 +7,15 @@ finite-radius properties with the stated tolerances.
 """
 
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ektau
 from ektau.core import BasePoint, PointE, SpaceParams, coord_to_frame
 from ektau.balls import BallSpec, mc_volume, volume_growth_fit
 from ektau.geodesics import (
@@ -483,27 +487,33 @@ def test_criterion_13_cylindrical_lower_bound():
 
 
 # ---------------------------------------------------------------------------
-# 14. bit-identical CLI output across runs and thread counts
+# 14. bit-identical CLI output across runs, config files and interpreters
 # ---------------------------------------------------------------------------
 
 def test_criterion_14_cli_determinism(tmp_path, capsys):
     from ektau.cli import main
 
-    outputs = []
-    for label, extra in (("a", ["--threads", "1"]), ("b", ["--threads", "8"]),
-                         ("c", [])):
-        path = tmp_path / f"{label}.json"
-        code = main([
-            "ball-volume", "--tau", "1", "--radii", "1,2,3",
-            "--samples", "50000", "--seed", "77", "--format", "json",
-            "--out", str(path), *extra,
-        ])
-        capsys.readouterr()
-        assert code == 0
-        outputs.append(path.read_bytes())
+    params = {"tau": "1", "radii": "1,2,3", "samples": "50000", "seed": "77"}
+    flags = [f for key, value in params.items() for f in (f"--{key}", value)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in params.items()))
+    src = str(pathlib.Path(ektau.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def out(label):
+        return ["ball-volume", "--format", "json", "--out", str(tmp_path / f"{label}.json")]
+
+    assert main(out("flags") + flags) == 0
+    assert main(out("config") + ["--config", str(cfg)]) == 0
+    capsys.readouterr()
+    fresh = subprocess.run([sys.executable, "-m", "ektau.cli", *out("fresh"), *flags],
+                           env=env, capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    outputs = [(tmp_path / f"{label}.json").read_bytes()
+               for label in ("flags", "config", "fresh")]
     ok = outputs[0] == outputs[1] == outputs[2]
     _report(
         14, ok,
-        f"seeded CLI reruns bit-identical across thread counts "
-        f"({len(outputs[0])} bytes each)",
+        f"seeded CLI output bit-identical from flags, from --config and in a fresh "
+        f"interpreter ({len(outputs[0])} bytes each)",
     )

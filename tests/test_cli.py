@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ektau
 from ektau.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
@@ -65,6 +70,26 @@ class TestGeodesic:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        "--kappa 0 --tau 1 --family nil",
+        "--kappa 0 --tau 1 --family horizontal",
+        "--kappa 0 --tau 0 --family elliptic --a 0.5",
+        "--kappa 0 --tau 1 --a 0.5",
+    ])
+    def test_family_and_a_exit_2_for_nonnegative_kappa(self, capsys, argv):
+        code, out, err = run_cli(capsys, "geodesic", *argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "kappa<0" in err
+
+    def test_family_defaults_to_horizontal_for_negative_kappa(self, capsys):
+        argv = ["geodesic", "--kappa", "-1", "--tau", "0.5", "--steps", "4", "--format", "json"]
+        code, default, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(default)["params"]["family"] == "horizontal"
+        code, explicit, _ = run_cli(capsys, *argv, "--family", "horizontal")
+        assert code == EXIT_OK and explicit == default
+
 
 class TestBallVolume:
     def test_euclidean_unit_ball(self, capsys):
@@ -118,6 +143,17 @@ class TestGrowth:
             R, area = (float(v) for v in line.split(","))
             exact = 2.0 * math.pi / 3.0 * ((1.0 + R * R) ** 1.5 - 1.0)
             assert abs(area / exact - 1.0) < 1e-5
+
+    @pytest.mark.parametrize("example,code", [
+        ("umbrella", EXIT_OK), ("plane", EXIT_OK), ("fmp", EXIT_OK),
+        ("catenoid", EXIT_OK), ("ideal-polygon", EXIT_USAGE),
+    ])
+    def test_example_names(self, capsys, example, code):
+        # the CLI's example table is the one name registry; ideal polygons
+        # are a closed-form area, not a surface
+        got, _, _ = run_cli(capsys, "growth", "--example", example,
+                            "--family", "cylinder", "--radii", "2")
+        assert got == code
 
     def test_unknown_example_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "growth", "--example", "torus")
@@ -196,27 +232,26 @@ class TestConfigAndOutput:
         assert b"\r" not in data
         assert data.endswith(b"\n")
 
-    def test_deterministic_across_runs_and_threads(self, tmp_path, capsys):
-        outs = []
-        for threads in ("1", "8"):
-            path = tmp_path / f"t{threads}.csv"
-            code = main([
-                "ball-volume", "--tau", "1", "--radii", "1,2",
-                "--samples", "30000", "--seed", "123",
-                "--threads", threads, "--out", str(path),
-            ])
+    def test_deterministic_across_runs_config_and_interpreters(self, tmp_path, capsys):
+        params = {"tau": "1", "radii": "1,2", "samples": "30000", "seed": "123"}
+        flags = [f for key, value in params.items() for f in (f"--{key}", value)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in params.items()))
+        runs = {"flags": flags, "again": flags, "config": ["--config", str(cfg)]}
+        for label, extra in runs.items():
+            code = main(["ball-volume", "--out", str(tmp_path / label), *extra])
             capsys.readouterr()
             assert code == EXIT_OK
-            outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
-        # and bit-identical on a repeated run
-        path = tmp_path / "again.csv"
-        main([
-            "ball-volume", "--tau", "1", "--radii", "1,2",
-            "--samples", "30000", "--seed", "123", "--out", str(path),
-        ])
-        capsys.readouterr()
-        assert path.read_bytes() == outs[0]
+        src = str(pathlib.Path(ektau.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ektau.cli", "ball-volume",
+             "--out", str(tmp_path / "fresh"), *flags],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert fresh.returncode == EXIT_OK, fresh.stderr
+        outs = [(tmp_path / label).read_bytes() for label in (*runs, "fresh")]
+        assert outs[0].startswith(b"R,volume,std_err,bounding_volume\n")
+        assert all(out == outs[0] for out in outs)
 
 
 class TestBadNumericInput:

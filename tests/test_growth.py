@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from ektau.core import SpaceParams
-from ektau.errors import HypothesisViolationError
+from ektau.errors import ConvergenceError, HypothesisViolationError, UnsupportedSpaceError
 from ektau.graphs import BaseDomain, GraphSurface
 from ektau.growth import (
     RegionFamily,
+    _extrinsic_area,
+    _intrinsic_distances,
     calibration_check,
     collin_krust_sweep,
     fit_with_stderr,
@@ -50,6 +52,24 @@ class TestRegionFamilies:
         fam = RegionFamily("cylinder")
         areas = [region_area(surf, fam, R) for R in (1.0, 2.0, 4.0)]
         assert areas[0] < areas[1] < areas[2]
+
+    def test_intrinsic_table_raises_when_not_converged(self):
+        g = umbrella(SpaceParams(0.0, 1.0)).graph
+        with pytest.raises(ConvergenceError) as info:
+            intrinsic_area_table(g, [1.0, 2.0], n0=5, stability=0.0)
+        # best holds the finest of the four levels, n = 5, 9, 17, 33
+        dist, area_w, cell = _intrinsic_distances(g, 2.0, 33)
+        finest = [np.sum(area_w[dist <= R]) * cell for R in (1.0, 2.0)]
+        assert np.array_equal(info.value.best, finest)
+
+    def test_extrinsic_area_rejects_sl2(self):
+        # u = x is no umbrella, so the ambient-ball path runs and needs a distance
+        sp = SpaceParams(-1.0, 1.0)
+        g = GraphSurface(sp, BaseDomain.full_plane(), lambda x, y: np.asarray(x, float))
+        with pytest.raises(UnsupportedSpaceError):
+            _extrinsic_area(g, 1.0)
+        with pytest.raises(UnsupportedSpaceError):
+            region_area(g, RegionFamily("extrinsic_ball"), 1.0)
 
     def test_intrinsic_table_close_to_exact_for_umbrella(self):
         g = umbrella(SpaceParams(0.0, 1.0)).graph
@@ -181,14 +201,6 @@ class TestCollinKrust:
 
 
 class TestTableSuite:
-    def test_not_instantiable_rows(self):
-        reports = table1_suite(["ideal-scherk", "k-noid", "entire-cmc-subcritical"])
-        for rep in reports:
-            assert rep.verdict == "inconclusive"
-            assert "not instantiable" in rep.note
-            assert rep.fit is None
-            assert rep.samples == ()
-
     def test_umbrella_nil_row(self):
         (rep,) = table1_suite(["umbrella-nil"])
         assert rep.verdict == "consistent"

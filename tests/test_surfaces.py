@@ -9,7 +9,6 @@ from ektau.core import BasePoint, SpaceParams
 from ektau.errors import HypothesisViolationError
 from ektau.graphs import graph_area, mean_curvature
 from ektau.surfaces import (
-    EXAMPLES,
     affine_plane,
     catenoid,
     catenoid_height,
@@ -185,9 +184,3 @@ class TestIdealPolygon:
             ideal_polygon_area(0.0, 3, 0.0)
         with pytest.raises(ValueError):
             ideal_polygon_area(-1.0, 1, 0.0)
-
-
-class TestRegistry:
-    def test_names(self):
-        assert set(EXAMPLES) == {"umbrella", "plane", "fmp", "catenoid",
-                                 "ideal-polygon"}
