@@ -7,8 +7,9 @@ endings, '.' decimal) or JSON with stable key order validating against the
 schema shipped in ektau/schemas/output.schema.json.
 
 Exit codes: 0 success, 2 usage/validation error (including a nan or
-infinite numeric flag, and geodesic --family or --a for kappa >= 0, where
-they select nothing) or a space the command does not support,
+infinite numeric flag, geodesic --family or --a for kappa >= 0 and
+geodesic --phi or --theta for kappa < 0, where they select nothing) or a
+space the command does not support,
 3 hypothesis violation, 4 numerical failure.  All work runs in the calling
 thread, and output is bit-identical for identical parameters and seed.
 
@@ -44,7 +45,7 @@ from .growth import (
     RegionFamily,
     collin_krust_sweep,
     growth_verdict,
-    region_area,
+    region_areas,
 )
 from .surfaces import catenoid, fmp_surface, umbrella, affine_plane
 
@@ -135,13 +136,18 @@ def cmd_geodesic(args) -> None:
     sp = _space(args)
     if args.steps < 1:
         raise CliError("steps must be at least 1")
-    family = args.family
-    if sp.kappa >= 0.0 and (family is not None or args.a is not None):
-        raise CliError("--family and --a select kappa<0 families only")
+    family, phi, theta = args.family, args.phi, args.theta
+    if sp.kappa < 0.0 and (phi is not None or theta is not None):
+        raise CliError("--phi and --theta select kappa>=0 directions only")
+    if sp.kappa >= 0.0:
+        if family is not None or args.a is not None:
+            raise CliError("--family and --a select kappa<0 families only")
+        phi = math.pi / 2 if phi is None else phi
+        theta = 0.0 if theta is None else theta
     if sp.kappa == 0.0 and sp.tau > 0.0:
-        if not (0.0 <= args.phi <= math.pi):
+        if not (0.0 <= phi <= math.pi):
             raise CliError("phi must lie in [0, pi]")
-        v0 = nil_geodesic_velocity(sp.tau, args.phi, args.theta, 0.0)
+        v0 = nil_geodesic_velocity(sp.tau, phi, theta, 0.0)
     elif sp.kappa < 0.0:
         family = "horizontal" if family is None else family
         if family not in sl2_families:
@@ -151,9 +157,8 @@ def cmd_geodesic(args) -> None:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     else:
-        c, s = math.cos(args.theta), math.sin(args.theta)
-        ph = args.phi
-        v0 = FrameVector(c * math.sin(ph), s * math.sin(ph), math.cos(ph))
+        c, s = math.cos(theta), math.sin(theta)
+        v0 = FrameVector(c * math.sin(phi), s * math.sin(phi), math.cos(phi))
     spec = GeodesicSpec(PointE(0.0, 0.0, 0.0), v0)
     samples = integrate_geodesic(sp, spec, args.t_end, n_samples=args.steps + 1)
     rows = []
@@ -163,8 +168,8 @@ def cmd_geodesic(args) -> None:
             (s_.t, p.x, p.y, p.z, v.a1, v.a2, v.a3, abs(v.norm() - 1.0))
         )
     params = {
-        "kappa": args.kappa, "tau": args.tau, "phi": args.phi,
-        "theta": args.theta, "family": family, "a": args.a,
+        "kappa": args.kappa, "tau": args.tau, "phi": phi,
+        "theta": theta, "family": family, "a": args.a,
         "t_end": args.t_end, "steps": args.steps,
     }
     emit(args, "geodesic", params,
@@ -221,7 +226,7 @@ def cmd_growth(args) -> None:
     if fam_tag is None:
         raise CliError("family must be intrinsic, extrinsic or cylinder")
     radii = _parse_radii(args.radii)
-    rows = [(R, region_area(surface, RegionFamily(fam_tag), R)) for R in radii]
+    rows = list(zip(radii, region_areas(surface, RegionFamily(fam_tag), radii)))
     extras = {}
     if len(radii) >= 6:
         expected = {"model": "power", "value": 3.0, "comparison": "exact"}
@@ -281,8 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geodesic", help="sample a geodesic through the origin")
     _add_common(p)
-    p.add_argument("--phi", type=float, default=math.pi / 2)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--phi", type=float, default=None,
+                   help="polar angle for kappa>=0 (default pi/2); rejected for kappa<0")
+    p.add_argument("--theta", type=float, default=None,
+                   help="azimuth for kappa>=0 (default 0); rejected for kappa<0")
     p.add_argument("--family", default=None,
                    help="kappa<0 family (default horizontal); rejected for kappa>=0")
     p.add_argument("--a", type=float, default=None, help="kappa<0 family parameter")

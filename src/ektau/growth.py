@@ -28,6 +28,7 @@ __all__ = [
     "RegionFamily",
     "GrowthReport",
     "region_area",
+    "region_areas",
     "intrinsic_area_table",
     "growth_verdict",
     "fit_with_stderr",
@@ -131,11 +132,13 @@ _STENCIL = [
 ]
 
 
-def _intrinsic_distances(g: GraphSurface, L: float, n: int):
+def _intrinsic_distances(g: GraphSurface, L: float, n: int, limit: float = np.inf):
     """Surface distance field from the point over the origin, on an n x n grid.
 
     16-connected Dijkstra with first-fundamental-form edge lengths; returns
-    (distance field, area weight field, cell area).
+    (distance field, area weight field, cell area).  Dijkstra stops at
+    ``limit``: distances up to it are exactly those of the unlimited solve,
+    and every farther node reads inf.
     """
     xs = np.linspace(-L, L, n)
     h = xs[1] - xs[0]
@@ -161,7 +164,8 @@ def _intrinsic_distances(g: GraphSurface, L: float, n: int):
         shape=(n * n, n * n),
     )
     source = idx[n // 2, n // 2]
-    dist = dijkstra(graph_m.tocsr(), directed=False, indices=source).reshape(n, n)
+    dist = dijkstra(graph_m.tocsr(), directed=False, indices=source,
+                    limit=limit).reshape(n, n)
     area_w = np.sqrt(np.maximum(E * G - F * F, 0.0))
     return dist, area_w, h * h
 
@@ -170,17 +174,20 @@ def intrinsic_area_table(g: GraphSurface, radii, n0: int = INTRINSIC_BASE_N,
                          stability: float = INTRINSIC_STABILITY):
     """Areas of the surface geodesic balls B_R for all radii at once.
 
-    The Dijkstra distance field is refined (grid doubling) until every
-    radius is stable to the requested relative tolerance; ConvergenceError,
-    carrying the finest areas in ``best``, is raised if four levels do not
-    reach it.
+    Every radius is read from one distance field per grid level.  The grid
+    covers the base disk that holds the largest ball, and Dijkstra stops at
+    the largest radius, since no area counts a farther node.  The field is
+    refined (grid doubling) until every radius is stable to the requested
+    relative tolerance; ConvergenceError, carrying the finest areas in
+    ``best``, is raised if four levels do not reach it.
     """
     radii = np.asarray(radii, dtype=float)
-    L = base_disk_model_radius(g.sp, float(np.max(radii)))
+    r_max = float(np.max(radii))
+    L = base_disk_model_radius(g.sp, r_max)
     n = n0
     prev = None
     for _ in range(4):
-        dist, area_w, cell = _intrinsic_distances(g, L, n)
+        dist, area_w, cell = _intrinsic_distances(g, L, n, limit=r_max)
         areas = np.array([float(np.sum(area_w[dist <= R]) * cell) for R in radii])
         if prev is not None and np.all(
             np.abs(areas - prev) <= stability * np.maximum(areas, 1e-300)
@@ -193,20 +200,39 @@ def intrinsic_area_table(g: GraphSurface, radii, n0: int = INTRINSIC_BASE_N,
     )
 
 
-def region_area(g, fam: RegionFamily, R: float) -> float:
-    """Area of the surface piece cut by the family's region of size R.
+def _over_base_disk(g, fam: RegionFamily) -> bool:
+    """Whether the family's region of size R cuts the graph over a base disk.
 
-    ExampleSurface inputs use their structural flags (umbrellas intersect
-    B_R exactly in the graph over D_R, so all families agree there).
+    Cylinders always do; ExampleSurface inputs also say so by their
+    structural flag (umbrellas intersect B_R exactly in the graph over D_R,
+    so all families agree there).
     """
     flags = g.flags if isinstance(g, ExampleSurface) else {}
+    return fam.tag == "cylinder" or bool(flags.get("extrinsic_equals_base_disk"))
+
+
+def region_area(g, fam: RegionFamily, R: float) -> float:
+    """Area of the surface piece cut by the family's region of size R."""
     gg = _graph(g)
-    if fam.tag == "cylinder" or flags.get("extrinsic_equals_base_disk"):
+    if _over_base_disk(g, fam):
         re = base_disk_model_radius(gg.sp, R)
         return graph_area(gg, re).value
     if fam.tag == "extrinsic_ball":
         return _extrinsic_area(gg, R)
     return float(intrinsic_area_table(gg, [R])[0])
+
+
+def region_areas(g, fam: RegionFamily, radii) -> list[float]:
+    """Areas of the family's regions at every radius, in the order given.
+
+    Intrinsic balls of all radii are read from one distance field per grid
+    level, by one intrinsic_area_table call that refines until every radius
+    is stable; the other families, and surfaces cut over a base disk, are
+    measured radius by radius with region_area.
+    """
+    if fam.tag == "intrinsic_ball" and not _over_base_disk(g, fam):
+        return [float(a) for a in intrinsic_area_table(_graph(g), radii)]
+    return [region_area(g, fam, R) for R in radii]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +368,10 @@ def table1_suite(selection=None) -> list[GrowthReport]:
             [3, 4, 5, 6, 7, 8],
             {"model": "exponential", "value": 1.0, "comparison": "exact"},
         ),
+        # The fitted exponent, about 2.80, is below 3 at these finite radii.
+        # A 184-vector stencil (every primitive (i, j) with |i|, |j| <= 12),
+        # which brings the Nil3 umbrella's areas to within 1 %, moves it only
+        # to 2.79, so the gap is a finite-radius effect, not the solver's.
         "fmp-intrinsic": lambda: _row(
             fmp_surface(1.0, 0.0), "intrinsic",
             [4, 5, 6.5, 8, 10, 12],
@@ -364,7 +394,8 @@ def table1_suite(selection=None) -> list[GrowthReport]:
 
 def _row(surface, family, radii, expected) -> GrowthReport:
     fam = RegionFamily(FAMILY_TAGS[family])
-    samples = [(float(R), region_area(surface, fam, R), 0.0) for R in radii]
+    areas = region_areas(surface, fam, radii)
+    samples = [(float(R), a, 0.0) for R, a in zip(radii, areas)]
     verdict, fit = growth_verdict(
         [s[0] for s in samples], [s[1] for s in samples], expected
     )

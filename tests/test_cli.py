@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import ektau
+from ektau import growth
 from ektau.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
@@ -81,6 +82,28 @@ class TestGeodesic:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and "kappa<0" in err
+
+    @pytest.mark.parametrize("argv", [
+        "--kappa -1 --tau 1 --phi 0.3",
+        "--kappa -1 --tau 1 --theta 2",
+        "--kappa -1 --tau 0 --phi 0.3 --theta 2",
+        "--kappa -0.5 --tau 1 --family elliptic --a 0.5 --theta 0",
+    ])
+    def test_phi_and_theta_exit_2_for_negative_kappa(self, capsys, argv):
+        code, out, err = run_cli(capsys, "geodesic", *argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "kappa>=0" in err
+
+    @pytest.mark.parametrize("tau", ["0", "1"])
+    def test_phi_and_theta_default_for_nonnegative_kappa(self, capsys, tau):
+        argv = ["geodesic", "--kappa", "0", "--tau", tau, "--steps", "4", "--format", "json"]
+        code, default, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        params = json.loads(default)["params"]
+        assert (params["phi"], params["theta"]) == (math.pi / 2, 0.0)
+        code, explicit, _ = run_cli(capsys, *argv, "--phi", repr(math.pi / 2), "--theta", "0")
+        assert code == EXIT_OK and explicit == default
 
     def test_family_defaults_to_horizontal_for_negative_kappa(self, capsys):
         argv = ["geodesic", "--kappa", "-1", "--tau", "0.5", "--steps", "4", "--format", "json"]
@@ -154,6 +177,23 @@ class TestGrowth:
         got, _, _ = run_cli(capsys, "growth", "--example", example,
                             "--family", "cylinder", "--radii", "2")
         assert got == code
+
+    def test_intrinsic_radii_share_one_distance_field(self, capsys, monkeypatch):
+        grid_sizes = []
+        solve = growth._intrinsic_distances
+
+        def counted(g, L, n, *args, **kwargs):
+            grid_sizes.append(n)
+            return solve(g, L, n, *args, **kwargs)
+
+        monkeypatch.setattr(growth, "_intrinsic_distances", counted)
+        code, out, _ = run_cli(capsys, "growth", "--example", "fmp", "--family",
+                               "intrinsic", "--radii", "4,5,6.5,8,10,12")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 7
+        # one solve per grid level, each sized for R = 12
+        assert 1 <= len(grid_sizes) <= 4
+        assert grid_sizes == sorted(set(grid_sizes))
 
     def test_unknown_example_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "growth", "--example", "torus")
