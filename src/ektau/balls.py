@@ -36,6 +36,7 @@ __all__ = [
     "VolumeEstimate",
     "GrowthFit",
     "bounding_cylinder",
+    "ball_distance",
     "ball_membership",
     "in_ball",
     "mc_volume",
@@ -99,23 +100,48 @@ def bounding_cylinder(ball: BallSpec) -> tuple[float, float]:
     return base_disk_model_radius(sp, R), ball_height(sp, R)
 
 
+def _base_distance(sp: SpaceParams, rho):
+    """Distance in the base from the axis to the points at model radius rho.
+
+    R^3 and H^2 x R are Riemannian products, so d^2 = d_base^2 + z^2 there;
+    kappa < 0, tau > 0 has no exact distance and raises
+    UnsupportedSpaceError.
+    """
+    if sp.is_sl2:
+        raise UnsupportedSpaceError(
+            "exact kappa<0, tau>0 distance unavailable; use sl2_volume_bracket"
+        )
+    if sp.is_product:
+        sk = math.sqrt(-sp.kappa)
+        return (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * rho, 1.0 - 1e-16))
+    return rho
+
+
+def ball_distance(sp: SpaceParams, rho, z):
+    """Vectorized distance from the origin to the points at model radius rho, height z.
+
+    Nil3 solves the exact one-dimensional geodesic reduction
+    (``nil_distance_reduced``); R^3 and H^2 x R give hypot(d_base, z).
+    kappa < 0, tau > 0 has no exact distance and raises UnsupportedSpaceError.
+    """
+    if sp.is_nil:
+        return nil_distance_reduced(sp.tau, rho, z)
+    return np.hypot(_base_distance(sp, rho), z)
+
+
 def ball_membership(sp: SpaceParams, rho, z, R: float):
     """Vectorized membership of the points at model radius rho, height z in B_R(0).
 
     Nil3 solves the exact one-dimensional geodesic reduction; R^3 and
-    H^2 x R use d^2 = d_base^2 + z^2 < R^2.  kappa < 0, tau > 0 has no
-    exact distance and raises UnsupportedSpaceError.
+    H^2 x R use d^2 = d_base^2 + z^2 < R^2, in units of R when R^2 would
+    underflow or overflow.  kappa < 0, tau > 0 has no exact distance and
+    raises UnsupportedSpaceError.
     """
     if sp.is_nil:
         return nil_distance_reduced(sp.tau, rho, z, radius=R)
-    if sp.is_sl2:
-        raise UnsupportedSpaceError(
-            "exact kappa<0, tau>0 ball membership unavailable; use sl2_volume_bracket"
-        )
-    d_base = rho
-    if sp.is_product:
-        sk = math.sqrt(-sp.kappa)
-        d_base = (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * rho, 1.0 - 1e-16))
+    d_base = _base_distance(sp, rho)
+    if not (np.finfo(float).tiny <= R * R < math.inf):
+        d_base, z, R = d_base / R, z / R, 1.0
     return d_base * d_base + z * z < R * R
 
 

@@ -8,8 +8,9 @@ schema shipped in ektau/schemas/output.schema.json.
 
 Exit codes: 0 success, 2 usage/validation error (including a nan or
 infinite numeric flag, geodesic --family or --a for kappa >= 0 and
-geodesic --phi or --theta for kappa < 0, where they select nothing) or a
-space the command does not support,
+geodesic --phi or --theta for kappa < 0, where they select nothing, an
+argument the library rejects with ValueError, and a config or output file
+that cannot be opened) or a space the command does not support,
 3 hypothesis violation, 4 numerical failure.  All work runs in the calling
 thread, and output is bit-identical for identical parameters and seed.
 
@@ -68,7 +69,11 @@ class CliError(Exception):
 def read_config(path: str, known_keys) -> dict:
     """Parse a flat key=value file; unknown keys are rejected."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -105,7 +110,11 @@ def emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
             doc["extras"] = extras
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out!r}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -121,19 +130,12 @@ def _parse_radii(spec: str):
     return radii
 
 
-def _space(args) -> SpaceParams:
-    try:
-        return SpaceParams(args.kappa, args.tau)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_geodesic(args) -> None:
-    sp = _space(args)
+    sp = SpaceParams(args.kappa, args.tau)
     if args.steps < 1:
         raise CliError("steps must be at least 1")
     family, phi, theta = args.family, args.phi, args.theta
@@ -152,10 +154,7 @@ def cmd_geodesic(args) -> None:
         family = "horizontal" if family is None else family
         if family not in sl2_families:
             raise CliError(f"family must be one of {sl2_families}")
-        try:
-            v0 = sl2_geodesic_velocity(sp, family, args.a, 0.0)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        v0 = sl2_geodesic_velocity(sp, family, args.a, 0.0)
     else:
         c, s = math.cos(theta), math.sin(theta)
         v0 = FrameVector(c * math.sin(phi), s * math.sin(phi), math.cos(phi))
@@ -177,9 +176,11 @@ def cmd_geodesic(args) -> None:
 
 
 def cmd_ball_volume(args) -> None:
-    sp = _space(args)
+    sp = SpaceParams(args.kappa, args.tau)
     if args.samples < 1000:
         raise CliError("samples must be at least 1000")
+    if not -(2**63) <= args.seed < 2**63:
+        raise CliError("seed must fit in a signed 64-bit integer")
     radii = _parse_radii(args.radii)
     rows = []
     for R in radii:
@@ -213,14 +214,11 @@ def _build_example(args, sp: SpaceParams):
         raise CliError(f"unknown example {name!r}")
     if sp.kappa != 0.0:
         raise UnsupportedSpaceError(f"example {name!r} is defined for kappa = 0 only")
-    try:
-        return nil_only[name]()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return nil_only[name]()
 
 
 def cmd_growth(args) -> None:
-    sp = _space(args)
+    sp = SpaceParams(args.kappa, args.tau)
     surface = _build_example(args, sp)
     fam_tag = FAMILY_TAGS.get(args.family)
     if fam_tag is None:
@@ -247,7 +245,7 @@ def cmd_growth(args) -> None:
 
 
 def cmd_collin_krust(args) -> None:
-    sp = _space(args)
+    sp = SpaceParams(args.kappa, args.tau)
     surface = _build_example(args, sp)
     radii = _parse_radii(args.radii)
     sweep = collin_krust_sweep(surface.graph, radii)
@@ -374,7 +372,7 @@ def main(argv=None) -> int:
         args = _apply_config(args, argv)
         _check_finite(args)
         args.run(args)
-    except (CliError, UnsupportedSpaceError) as exc:
+    except (CliError, UnsupportedSpaceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypothesisViolationError as exc:

@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ._quadrature import leggauss
 from .core import SpaceParams
 from .errors import ConvergenceError, HypothesisViolationError
-from .balls import GrowthFit, ball_membership, volume_growth_fit
+from .balls import GrowthFit, ball_distance, volume_growth_fit
 from .geodesics import base_disk_model_radius
 from .graphs import GraphSurface, _area_density, _gu_components, _quad_limits, graph_area
 from .surfaces import ExampleSurface, catenoid, fmp_surface, umbrella, affine_plane
@@ -42,6 +42,8 @@ INTRINSIC_STABILITY = 0.01      # relative per-radius stability target
 VERDICT_EXACT_TOL = 0.4         # power-exponent window for "exactly" claims
 VERDICT_RATE_TOL = 0.10         # relative window for exponential rates
 VERDICT_RESIDUAL_MAX = 0.2      # rms log-residual beyond which fits are inconclusive
+RAY_MAX_ITER = 100              # root-solver probes per ray before ConvergenceError
+RAY_REL_WIDTH = 4.0 * np.finfo(float).eps  # final ray-stop bracket width, relative to r
 
 # family names of the CLI and the table rows, and the region-family tags they select
 FAMILY_TAGS = {"extrinsic": "extrinsic_ball", "intrinsic": "intrinsic_ball",
@@ -79,34 +81,71 @@ def _graph(g) -> GraphSurface:
     return g.graph if isinstance(g, ExampleSurface) else g
 
 
-def _ray_stop(member, theta, r_lo, r_hi, n_bisect: int = 48):
-    """Per-angle outer radius of {member} along rays, by vectorized bisection.
+def _ray_stop(dist, theta, r_lo, r_hi, R: float):
+    """Per-angle radius in [r_lo, r_hi] at which dist along the ray reaches R.
 
+    ``dist(x, y)`` is the vectorized ambient distance of the graph points
+    over (x, y).  A ray already at distance >= R at r_lo stops there, and one
+    still inside at r_hi stops there.  On every other ray d(r) - R changes
+    sign, and Illinois regula falsi narrows the bracket (a step that leaves
+    it becomes a bisection) until it is at most 4 ulps of r wide, or a probe
+    lands on the root.  A probe whose distance is nan moves neither end.
     Assumes the region cut by each ray is an interval starting at r_lo
     (valid for the star-shaped regions the examples produce).
+    ConvergenceError, carrying the stops found so far (nan on the open
+    rays) in ``best``, is raised after RAY_MAX_ITER probes.
     """
-    lo = np.full_like(theta, r_lo)
-    hi = np.full_like(theta, r_hi)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    inside_hi = member(r_hi * cos_t, r_hi * sin_t)
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        inside = member(mid * cos_t, mid * sin_t)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return np.where(inside_hi, r_hi, lo)
+    ends = np.array([[r_lo], [r_hi]])
+    f_lo, f_hi = dist(ends * cos_t, ends * sin_t) - R
+    inside_lo = f_lo < 0.0
+    stop = np.where(inside_lo, r_hi, r_lo)
+    idx = np.nonzero(inside_lo & ~(f_hi < 0.0))[0]
+    stop[idx] = np.nan
+    f_lo, f_hi = f_lo[idx], f_hi[idx]
+    lo, hi = np.full(idx.size, r_lo), np.full(idx.size, r_hi)
+    moved = np.zeros(idx.size)  # the end the last probe replaced: -1 lo, +1 hi
+    for _ in range(RAY_MAX_ITER):
+        if idx.size == 0:
+            break
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+        f = dist(x * cos_t[idx], x * sin_t[idx]) - R
+        below, above = f < 0.0, f >= 0.0
+        # Illinois: an end kept through two probes in a row has its value halved
+        f_lo = np.where(above & (moved > 0.0), 0.5 * f_lo, f_lo)
+        f_hi = np.where(below & (moved < 0.0), 0.5 * f_hi, f_hi)
+        lo, f_lo = np.where(below, x, lo), np.where(below, f, f_lo)
+        hi, f_hi = np.where(above, x, hi), np.where(above, f, f_hi)
+        moved = np.where(below, -1.0, np.where(above, 1.0, moved))
+        done = (hi - lo <= RAY_REL_WIDTH * hi) | (f == 0.0)
+        stop[idx[done]] = hi[done]
+        keep = ~done
+        idx, lo, hi, f_lo, f_hi, moved = (
+            idx[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep], moved[keep])
+    if idx.size:
+        raise ConvergenceError(
+            f"ray stops not bracketed to {RAY_REL_WIDTH:.1e} after {RAY_MAX_ITER} "
+            f"probes on {idx.size} rays, e.g. theta={theta[idx[0]]:.17g}",
+            best=stop,
+        )
+    return stop
 
 
 def _extrinsic_area(g: GraphSurface, R: float, n_theta: int = 256,
                     n_r: int = 96) -> float:
-    """Area of the graph inside B_R(0) by per-ray radial quadrature."""
-    member = lambda x, y: ball_membership(g.sp, np.hypot(x, y), g.u(x, y), R)
+    """Area of the graph inside B_R(0) by per-ray radial quadrature.
+
+    Each ray is cut where the ambient distance of the graph point,
+    ``balls.ball_distance``, reaches R (``_ray_stop``), and the area density
+    is integrated up to there by Gauss-Legendre in r.
+    """
+    dist = lambda x, y: ball_distance(g.sp, np.hypot(x, y), g.u(x, y))
     re = base_disk_model_radius(g.sp, R)
     r_lo, r_cap = _quad_limits(g, re)
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     eps = r_lo + 1e-9 * max(r_cap, 1.0)
-    on_ray = member(eps * np.cos(theta), eps * np.sin(theta))
-    stop = np.where(on_ray, _ray_stop(member, theta, eps, r_cap), eps)
+    stop = _ray_stop(dist, theta, eps, r_cap, R)
     nodes, weights = leggauss(n_r)
     half = 0.5 * (stop - eps)
     r = eps + half[:, None] * (nodes + 1.0)
@@ -132,39 +171,61 @@ _STENCIL = [
 ]
 
 
+# both directions of every stencil vector: the 32 edges of a node's CSR row
+_STEPS = np.array([v for di, dj in _STENCIL for v in ((di, dj), (-di, -dj))])
+_HALO = int(np.max(np.abs(_STEPS)))
+_ROW_BLOCK = 16  # grid rows whose CSR rows are assembled at a time, in cache
+
+
 def _intrinsic_distances(g: GraphSurface, L: float, n: int, limit: float = np.inf):
     """Surface distance field from the point over the origin, on an n x n grid.
 
-    16-connected Dijkstra with first-fundamental-form edge lengths; returns
-    (distance field, area weight field, cell area).  Dijkstra stops at
-    ``limit``: distances up to it are exactly those of the unlimited solve,
-    and every farther node reads inf.
+    Dijkstra on the 32-neighbour grid graph (both directions of every
+    ``_STENCIL`` vector) with first-fundamental-form edge lengths
+    0.5 (sqrt(q_p) + sqrt(q_q)), q the quadratic form of the step at either
+    end; a step and its reverse have the same q, so both directions of an
+    edge get the same length.  The graph is built straight into CSR arrays:
+    one row per grid node, in node order, holding its 32 edges in ``_STEPS``
+    order.  A neighbour off the grid becomes an inf-weight self-loop, so the
+    graph has exactly n^2 nodes.  Dijkstra stops at ``limit``: distances up
+    to it are exactly those of the unlimited solve, and every farther node
+    reads inf.  Returns (distance field, area weight field, cell area).
     """
     xs = np.linspace(-L, L, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     E, F, G = _induced_metric(g, X, Y)
 
-    rows, cols, lens = [], [], []
-    idx = np.arange(n * n).reshape(n, n)
-    for di, dj in _STENCIL:
-        si = slice(max(di, 0), n + min(di, 0))
-        sj = slice(max(dj, 0), n + min(dj, 0))
-        ti = slice(max(-di, 0), n + min(-di, 0))
-        tj = slice(max(-dj, 0), n + min(-dj, 0))
+    # step lengths sqrt(q) per stencil vector, inf on a halo around the grid
+    P = _HALO
+    s = np.full((len(_STENCIL), n + 2 * P, n + 2 * P), np.inf)
+    for k, (di, dj) in enumerate(_STENCIL):
         dx, dy = di * h, dj * h
-        q_src = E[si, sj] * dx * dx + 2 * F[si, sj] * dx * dy + G[si, sj] * dy * dy
-        q_dst = E[ti, tj] * dx * dx + 2 * F[ti, tj] * dx * dy + G[ti, tj] * dy * dy
-        seg = 0.5 * (np.sqrt(q_src) + np.sqrt(q_dst))
-        rows.append(idx[si, sj].ravel())
-        cols.append(idx[ti, tj].ravel())
-        lens.append(seg.ravel())
-    graph_m = coo_matrix(
-        (np.concatenate(lens), (np.concatenate(rows), np.concatenate(cols))),
+        s[k, P:-P, P:-P] = np.sqrt(E * dx * dx + 2 * F * dx * dy + G * dy * dy)
+    # edge lengths in node order; a block of grid rows is filled one step
+    # direction at a time, then transposed into its nodes' CSR rows
+    lens = np.empty((n, n, len(_STEPS)))
+    block = np.empty((len(_STEPS), _ROW_BLOCK, n))
+    for i0 in range(0, n, _ROW_BLOCK):
+        m = min(_ROW_BLOCK, n - i0)
+        for col, (a, b) in enumerate(_STEPS):
+            here = s[col // 2, P + i0:P + i0 + m, P:P + n]
+            there = s[col // 2, P + i0 + a:P + i0 + a + m, P + b:P + b + n]
+            np.add(here, there, out=block[col, :m])
+        np.multiply(block[:, :m].transpose(1, 2, 0), 0.5, out=lens[i0:i0 + m])
+
+    idx = np.arange(n * n, dtype=np.int32).reshape(n, n)
+    ii = np.arange(n)[:, None] + _STEPS[:, 0]
+    jj = np.arange(n)[:, None] + _STEPS[:, 1]
+    off_grid = ((ii < 0) | (ii >= n))[:, None, :] | ((jj < 0) | (jj >= n))[None, :, :]
+    nbrs = idx[:, :, None] + (_STEPS[:, 0] * n + _STEPS[:, 1]).astype(np.int32)
+    np.copyto(nbrs, idx[:, :, None], where=off_grid)
+    graph_m = csr_matrix(
+        (lens.ravel(), nbrs.ravel(),
+         np.arange(0, lens.size + 1, len(_STEPS), dtype=np.int32)),
         shape=(n * n, n * n),
     )
-    source = idx[n // 2, n // 2]
-    dist = dijkstra(graph_m.tocsr(), directed=False, indices=source,
+    dist = dijkstra(graph_m, directed=True, indices=idx[n // 2, n // 2],
                     limit=limit).reshape(n, n)
     area_w = np.sqrt(np.maximum(E * G - F * F, 0.0))
     return dist, area_w, h * h

@@ -132,7 +132,10 @@ def fmp_surface(tau: float, theta: float) -> ExampleSurface:
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     sp = SpaceParams(0.0, tau)
-    sh = math.sinh(theta)
+    try:
+        sh = math.sinh(theta)
+    except OverflowError as exc:
+        raise ValueError(f"theta {theta!r} overflows sinh(theta)") from exc
 
     def u(x, y):
         q = np.sqrt(1.0 + 4.0 * tau**2 * y * y)
@@ -317,19 +320,35 @@ def ideal_polygon_area(kappa: float, n: int, H: float) -> float:
     return 2.0 * (n - 1) * math.pi / (-kappa - 4.0 * H * H)
 
 
-def ideal_polygon_area_numeric(kappa: float, n: int, n_quad: int = 2000) -> float:
-    """H = 0 cross-check by triangulating the ideal 2n-gon into 2n-2 triangles.
+def ideal_polygon_area_numeric(kappa: float, n: int, n_quad: int = 64) -> float:
+    """H = 0 cross-check: the ideal 2n-gon splits into 2n-2 ideal triangles.
 
-    The ideal triangle area is evaluated by quadrature in the curvature
-    kappa half-plane model (triangle with vertexes -1, 1, infinity):
-    the inner vertical integral of the area density is 1/sqrt(1-x^2),
-    integrated over x with the substitution x = sin(t).
+    One triangle's area is a quadrature of the conformal factor
+    lambda^2 = (1 + kappa r^2 / 4)^-2 over the ideal triangle with vertexes
+    at angles pi/3, pi and 5 pi/3 on the boundary r_inf = 2/sqrt(-kappa) of
+    the disk model.  By its symmetries the triangle is six copies of
+    {0 <= psi <= pi/3, r <= r_e(psi)}: r_e is its edge between the vertexes
+    at -pi/3 and pi/3, the circle r^2 - 4 r_inf r cos(psi) + r_inf^2 = 0
+    orthogonal to the boundary.  Gauss-Legendre runs in s with
+    psi = pi/3 - s^2, which absorbs the inverse square-root growth of the
+    inner integral at the ideal vertex, and in w = -log(1 - (r/r_inf)^2),
+    in which lambda^2 r dr is smooth up to the edge.
     """
     if kappa >= 0.0:
         raise ValueError("kappa must be negative")
+    r_inf = 2.0 / math.sqrt(-kappa)
     nodes, weights = leggauss(n_quad)
-    t = 0.5 * math.pi * nodes
-    wt = 0.5 * math.pi * weights
-    integrand = np.cos(t) / np.sqrt(1.0 - np.sin(t) ** 2)
-    triangle = float(np.sum(wt * integrand)) / -kappa
+    s_max = math.sqrt(math.pi / 3.0)
+    s = 0.5 * s_max * (nodes + 1.0)
+    psi = math.pi / 3.0 - s * s
+    q = np.sqrt(4.0 * np.cos(psi) ** 2 - 1.0)
+    # 1 - (r_e/r_inf)^2 = 2 q (r_e/r_inf), free of cancellation at the vertex
+    w_edge = -np.log(2.0 * q * (2.0 * np.cos(psi) - q))
+    w = 0.5 * w_edge[:, None] * (nodes + 1.0)
+    gap = np.exp(-w)  # 1 - (r/r_inf)^2
+    r = r_inf * np.sqrt(-np.expm1(-w))
+    dr_dw = 0.5 * r_inf * r_inf * gap / r
+    lam2 = 1.0 / (1.0 + 0.25 * kappa * r * r) ** 2
+    inner = 0.5 * w_edge * np.sum(weights * lam2 * r * dr_dw, axis=1)
+    triangle = 6.0 * 0.5 * s_max * float(np.sum(weights * 2.0 * s * inner))
     return (2 * n - 2) * triangle

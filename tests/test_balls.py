@@ -1,6 +1,7 @@
 """Tests for ball volumes: membership, Monte Carlo, brackets, growth fits."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ektau.balls import (
     MC_CHUNK,
     BallSpec,
     _chunk_rng,
+    ball_distance,
     ball_membership,
     bounding_cylinder,
     comparison_cylinder_volume,
@@ -130,17 +132,32 @@ class TestBallMembership:
             # checked by TestMembership::test_nil_point_near_the_plane
             return
         d = distance(sp, ORIGIN, PointE(rho * math.cos(angle), rho * math.sin(angle), z))
+        assert math.isclose(float(ball_distance(sp, rho, z)), d, rel_tol=1e-8, abs_tol=1e-10)
         if abs(d - radius) > 1e-7 * radius:
             assert bool(ball_membership(sp, rho, z, radius)) == (d < radius)
-        # the sphere through the point, crossed from both sides (d^2 < R^2 needs
-        # squares that do not underflow)
-        for R in (d * (1.0 + 1e-6), d * (1.0 - 1e-6)) if d > 1e-150 else ():
+        # the sphere through the point, crossed from both sides, whenever d is a
+        # normal float (below that, distance() itself has lost relative precision)
+        for R in (d * (1.0 + 1e-6), d * (1.0 - 1e-6)) if d >= sys.float_info.min else ():
+            vec = ball_membership(sp, np.array([rho, rho]), np.array([z, -z]), R)
+            assert vec.tolist() == [d < R] * 2
+
+    @pytest.mark.parametrize("space", [(0.0, 0.0), (-1.0, 0.0)])
+    @pytest.mark.parametrize("rho,z", [
+        (2.7e-186, 0.0), (1e-300, 3e-300), (0.0, 1e-200), (0.5, 1e200), (0.0, 1.7e308),
+    ])
+    def test_radius_whose_square_leaves_the_normal_range(self, space, rho, z):
+        sp = SpaceParams(*space)
+        d = float(ball_distance(sp, rho, z))
+        assert d > 0.0 and math.isfinite(d)
+        for R in (d * (1.0 + 1e-6), d * (1.0 - 1e-6)):
             vec = ball_membership(sp, np.array([rho, rho]), np.array([z, -z]), R)
             assert vec.tolist() == [d < R] * 2
 
     def test_sl2_rejected(self):
         with pytest.raises(UnsupportedSpaceError):
             ball_membership(SpaceParams(-1.0, 1.0), np.array([0.1]), np.array([0.0]), 1.0)
+        with pytest.raises(UnsupportedSpaceError):
+            ball_distance(SpaceParams(-1.0, 1.0), np.array([0.1]), np.array([0.0]))
 
 
 class TestNilProfile:

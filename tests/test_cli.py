@@ -1,5 +1,7 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ektau
 from ektau import growth
@@ -356,3 +359,71 @@ class TestSharedParser:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert build_parser() is not build_parser()
+
+
+# Flag values for the fuzz test: junk, specials and in-range numbers, with the
+# work sizes capped (samples <= 2e4, radii <= 4, steps <= 50, |t_end| <= 10)
+# so that every argument vector runs in well under a second.
+_JUNK = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", "0x10", "-0", "1,2"])
+_NUMBER = st.one_of(st.floats(-6.0, 6.0).map(repr), st.integers(-3, 3).map(str),
+                    st.sampled_from(["1e-300", "1e308", "-1e308", "800"]), _JUNK)
+_RADII = st.one_of(
+    st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6).map(
+        lambda rs: ",".join(map(repr, rs))),
+    st.sampled_from(["0", "-1", "4,nan", "a,b", ",", "1e-300"]),
+)
+_COMMON = {
+    "--kappa": st.one_of(st.sampled_from(["0", "-1", "-4", "1", "-1e-12"]), _NUMBER),
+    "--tau": st.one_of(st.sampled_from(["0", "1", "0.5", "-1"]), _NUMBER),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--seed": st.one_of(st.integers(-5, 5), st.integers(2**62, 2**70)).map(str),
+    "--config": st.just("no/such/dir/run.cfg"),
+    "--out": st.just("no/such/dir/out.csv"),
+    "--bogus": _NUMBER,
+}
+_FLAGS = {
+    "geodesic": {"--phi": _NUMBER, "--theta": _NUMBER, "--a": _NUMBER,
+                 "--family": st.sampled_from(["horizontal", "elliptic", "parabolic",
+                                              "hyperbolic", "nil"]),
+                 "--t-end": st.one_of(st.floats(-10.0, 10.0).map(repr), _JUNK),
+                 "--steps": st.one_of(st.integers(-3, 50).map(str), _JUNK)},
+    "ball-volume": {"--radii": _RADII,
+                    "--samples": st.one_of(st.integers(-1, 20000).map(str), _JUNK)},
+    "growth": {"--example": st.sampled_from(["umbrella", "plane", "fmp", "catenoid", "scherk"]),
+               "--family": st.sampled_from(["extrinsic", "intrinsic", "cylinder", "ball"]),
+               "--radii": _RADII, "--theta-param": _NUMBER, "--a-coef": _NUMBER,
+               "--b-coef": _NUMBER, "--neck": _NUMBER, "--r-max": _NUMBER},
+    "collin-krust": {"--example": st.sampled_from(["umbrella", "plane", "fmp", "catenoid"]),
+                     "--radii": _RADII, "--neck": _NUMBER, "--r-max": _NUMBER,
+                     "--theta-param": _NUMBER, "--a-coef": _NUMBER, "--b-coef": _NUMBER},
+}
+# flags whose default work size exceeds the caps are always given
+_ALWAYS = {"geodesic": "--steps", "ball-volume": "--samples", "collin-krust": "--radii"}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = {**_COMMON, **_FLAGS[command]}
+    names = draw(st.lists(st.sampled_from(sorted(flags)), max_size=5, unique=True))
+    if command in _ALWAYS and _ALWAYS[command] not in names:
+        names.append(_ALWAYS[command])
+    argv = [command]
+    for name in names:
+        argv += [name, draw(flags[name])]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_argv())
+    def test_any_argv_exits_with_a_documented_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits 2 on a bad flag or value
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (out.getvalue() != "") == (code == 0)

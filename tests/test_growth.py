@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from ektau import growth
+from ektau import growth, surfaces
 from ektau.core import SpaceParams
+from ektau.balls import ball_distance, ball_membership
 from ektau.errors import ConvergenceError, HypothesisViolationError, UnsupportedSpaceError
-from ektau.graphs import BaseDomain, GraphSurface
+from ektau.geodesics import base_disk_model_radius
+from ektau.graphs import BaseDomain, GraphSurface, _quad_limits
 from ektau.growth import (
     RegionFamily,
     _extrinsic_area,
+    _induced_metric,
     _intrinsic_distances,
+    _ray_stop,
     calibration_check,
     collin_krust_sweep,
     fit_with_stderr,
@@ -27,6 +33,55 @@ from ektau.surfaces import affine_plane, catenoid, fmp_surface, umbrella
 
 def _umbrella_area_nil(tau, R):
     return 2.0 * math.pi / (3.0 * tau**2) * ((1.0 + tau**2 * R * R) ** 1.5 - 1.0)
+
+
+def _coo_intrinsic_distances(g, L, n, limit=np.inf):
+    """Oracle distance field: the same 16-vector stencil graph built from
+    shifted-slice COO triplets, converted with tocsr and solved undirected."""
+    xs = np.linspace(-L, L, n)
+    h = xs[1] - xs[0]
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    E, F, G = _induced_metric(g, X, Y)
+    rows, cols, lens = [], [], []
+    idx = np.arange(n * n).reshape(n, n)
+    for di, dj in growth._STENCIL:
+        si = slice(max(di, 0), n + min(di, 0))
+        sj = slice(max(dj, 0), n + min(dj, 0))
+        ti = slice(max(-di, 0), n + min(-di, 0))
+        tj = slice(max(-dj, 0), n + min(-dj, 0))
+        dx, dy = di * h, dj * h
+        q_src = E[si, sj] * dx * dx + 2 * F[si, sj] * dx * dy + G[si, sj] * dy * dy
+        q_dst = E[ti, tj] * dx * dx + 2 * F[ti, tj] * dx * dy + G[ti, tj] * dy * dy
+        rows.append(idx[si, sj].ravel())
+        cols.append(idx[ti, tj].ravel())
+        lens.append((0.5 * (np.sqrt(q_src) + np.sqrt(q_dst))).ravel())
+    graph_m = coo_matrix(
+        (np.concatenate(lens), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * n, n * n),
+    )
+    return dijkstra(graph_m.tocsr(), directed=False, indices=idx[n // 2, n // 2],
+                    limit=limit).reshape(n, n)
+
+
+def _bisection_ray_stops(g, R, theta, r_lo, r_hi, n_bisect=48):
+    """Oracle ray stops: boolean bisection on ball membership along each ray."""
+    member = lambda r: ball_membership(
+        g.sp, np.hypot(r * np.cos(theta), r * np.sin(theta)),
+        g.u(r * np.cos(theta), r * np.sin(theta)), R)
+    lo, hi = np.full_like(theta, r_lo), np.full_like(theta, r_hi)
+    for _ in range(n_bisect):
+        mid = 0.5 * (lo + hi)
+        inside = member(mid)
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    stop = np.where(member(np.full_like(theta, r_hi)), r_hi, lo)
+    return np.where(member(np.full_like(theta, r_lo)), stop, r_lo)
+
+
+def _tilted_product_graph():
+    """A non-umbrella graph over the H^2 x R base disk."""
+    sp = SpaceParams(-1.0, 0.0)
+    return GraphSurface(sp, BaseDomain.full_plane(),
+                        lambda x, y: 0.7 * np.asarray(x) + 0.4 * np.asarray(y) ** 2)
 
 
 class TestRegionFamilies:
@@ -108,6 +163,23 @@ class TestRegionFamilies:
             assert np.all(np.isposinf(dist[~near]))
             assert np.array_equal(area_w_lim, area_w) and cell_lim == cell
 
+    @pytest.mark.parametrize("limit", [np.inf, "finite"])
+    @pytest.mark.parametrize("n", [121, 241])
+    @pytest.mark.parametrize("surface", ["fmp", "sl2-umbrella", "plane"])
+    def test_csr_graph_matches_coo_oracle(self, surface, n, limit):
+        # kappa = -1: the grid must stay inside the model disk of radius 2
+        g, L, finite = {
+            "fmp": (fmp_surface(1.0, 0.0).graph, 6.0, 4.0),
+            "sl2-umbrella": (umbrella(SpaceParams(-1.0, 1.0)).graph,
+                             base_disk_model_radius(SpaceParams(-1.0, 1.0), 3.0), 2.0),
+            "plane": (affine_plane(1.0, 1.0, 0.5).graph, 6.0, 4.0),
+        }[surface]
+        limit = finite if limit == "finite" else limit
+        dist, area_w, cell = _intrinsic_distances(g, L, n, limit=limit)
+        expected = _coo_intrinsic_distances(g, L, n, limit=limit)
+        assert np.array_equal(dist, expected)
+        assert np.count_nonzero(np.isfinite(dist)) > n
+
     @pytest.mark.parametrize("surface,tag", [
         ("fmp", "cylinder"), ("catenoid", "extrinsic_ball"),
         ("umbrella", "intrinsic_ball"), ("umbrella", "extrinsic_ball"),
@@ -137,6 +209,56 @@ class TestRegionFamilies:
             cyl = region_area(surf, RegionFamily("cylinder"), R)
             assert intr <= extr * 1.02
             assert extr <= cyl * 1.02
+
+
+class TestRayStops:
+    @pytest.mark.parametrize("R", [1.5, 3.0, 7.0])
+    @pytest.mark.parametrize("surface", ["catenoid", "fmp", "plane", "h2xr-tilted"])
+    def test_match_bisection_oracle(self, surface, R):
+        g = _tilted_product_graph() if surface == "h2xr-tilted" else {
+            "catenoid": catenoid(1.0, 1.0, 1e4), "fmp": fmp_surface(1.0, 0.0),
+            "plane": affine_plane(1.0, 1.0, 0.5)}[surface].graph
+        r_lo, r_cap = _quad_limits(g, base_disk_model_radius(g.sp, R))
+        theta = (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
+        eps = r_lo + 1e-9 * max(r_cap, 1.0)
+        dist = lambda x, y: ball_distance(g.sp, np.hypot(x, y), g.u(x, y))
+        stop = _ray_stop(dist, theta, eps, r_cap, R)
+        expected = _bisection_ray_stops(g, R, theta, eps, r_cap)
+        assert np.max(np.abs(stop / expected - 1.0)) <= 1e-12
+        assert np.any((stop > eps) & (stop < r_cap))
+
+    def test_ends_decide_rays_that_do_not_cross(self):
+        # d = 0, 5 r and r on the three rays: inside on the whole first ray,
+        # outside from its start on the second, crossing R = 1 on the third
+        theta = np.array([0.1, 1.0, 2.0])
+        slope = lambda x, y: np.select([np.arctan2(y, x) < 0.5, np.arctan2(y, x) < 1.5],
+                                       [0.0, 5.0], 1.0)
+        dist = lambda x, y: slope(x, y) * np.hypot(x, y)
+        stop = _ray_stop(dist, theta, 0.5, 3.0, 1.0)
+        assert stop[:2].tolist() == [3.0, 0.5]
+        assert math.isclose(stop[2], 1.0, rel_tol=1e-15)
+
+    def test_probes_without_a_sign_raise(self):
+        # distance below R at r_lo and above at r_hi, but nan everywhere between
+        theta = np.linspace(0.0, 1.0, 4)
+        dist = lambda x, y: np.select(
+            [np.hypot(x, y) <= 0.5 + 1e-12, np.hypot(x, y) >= 3.0 - 1e-12], [0.0, 9.0], np.nan)
+        with pytest.raises(ConvergenceError) as info:
+            _ray_stop(dist, theta, 0.5, 3.0, 1.0)
+        assert np.all(np.isnan(info.value.best))
+
+    def test_catenoid_row_calls_height_at_most_80_times(self, monkeypatch):
+        calls = []
+        height = surfaces.catenoid_height
+
+        def counted(*args):
+            calls.append(1)
+            return height(*args)
+
+        monkeypatch.setattr(surfaces, "catenoid_height", counted)
+        (rep,) = table1_suite(["catenoid-extrinsic"])
+        assert len(rep.samples) == 6
+        assert 6 <= len(calls) <= 80
 
 
 class TestFitsAndVerdicts:
