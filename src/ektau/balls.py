@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointE, SpaceParams
+from .core import (PointE, SpaceParams, _mu, base_disk_area, base_disk_model_radius,
+                   base_intrinsic_radius)
 from .errors import UnsupportedSpaceError
 from .geodesics import (
     ball_height,
-    base_disk_model_radius,
     distance,
     hyperbolic_distance,
     nil_distance_reduced,
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MC_CHUNK = 1 << 16  # samples per RNG stream; fixed so results are chunk-count independent
+IN_BALL_SLACK = 1e-10  # in_ball's cylinder prefilter rejects only points this far outside
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,8 @@ class GrowthFit:
 def bounding_cylinder(ball: BallSpec) -> tuple[float, float]:
     """(base-disk model radius, half-height) of a cylinder containing the ball.
 
-    The base disk has intrinsic radius R, hence Euclidean model radius
-    (2/sqrt(-kappa)) tanh(sqrt(-kappa) R / 2) for kappa < 0.  The height is
-    sharp except for kappa < 0, tau > 0, where it is an upper bound.
+    The base disk has intrinsic radius R.  The height is sharp except for
+    kappa < 0, tau > 0, where it is an upper bound.
     """
     sp, R = ball.sp, ball.radius
     return base_disk_model_radius(sp, R), ball_height(sp, R)
@@ -111,10 +111,7 @@ def _base_distance(sp: SpaceParams, rho):
         raise UnsupportedSpaceError(
             "exact kappa<0, tau>0 distance unavailable; use sl2_volume_bracket"
         )
-    if sp.is_product:
-        sk = math.sqrt(-sp.kappa)
-        return (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * rho, 1.0 - 1e-16))
-    return rho
+    return base_intrinsic_radius(sp, rho)
 
 
 def ball_distance(sp: SpaceParams, rho, z):
@@ -145,24 +142,24 @@ def ball_membership(sp: SpaceParams, rho, z, R: float):
     return d_base * d_base + z * z < R * R
 
 
-def in_ball(ball: BallSpec, p: PointE, tol: float = 1e-10) -> bool:
+def in_ball(ball: BallSpec, p: PointE) -> bool:
     """Whether p lies in the open ball, pre-filtered by the bounding cylinder."""
     sp = ball.sp
     disk_r, height = bounding_cylinder(ball)
     if sp.is_nil:
         q = nil_group_translate(sp.tau, ball.center, p)
         rho = math.hypot(q.x, q.y)
-        if rho >= disk_r + tol or abs(q.z) >= height + tol:
+        if rho >= disk_r + IN_BALL_SLACK or abs(q.z) >= height + IN_BALL_SLACK:
             return False
         return bool(ball_membership(sp, rho, q.z, ball.radius))
     if sp.is_product or sp.is_sl2:
         if (
             hyperbolic_distance(sp.kappa, ball.center.base(), p.base())
-            >= ball.radius + tol
-            or abs(p.z - ball.center.z) >= height + tol
+            >= ball.radius + IN_BALL_SLACK
+            or abs(p.z - ball.center.z) >= height + IN_BALL_SLACK
         ):
             return False
-    return distance(sp, ball.center, p, tol=tol) < ball.radius
+    return distance(sp, ball.center, p) < ball.radius
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +214,7 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
         rho, z = _sample_cylinder(rng, n, disk_r, height)
         hit = ball_membership(sp, rho, z, R)
         if sp.is_product:  # kappa < 0, tau = 0
-            lam = 1.0 / (1.0 + 0.25 * sp.kappa * rho * rho)
+            lam = 1.0 / _mu(sp, rho)
             vals = hit * lam**2
             total += float(np.sum(vals))
             total_sq += float(np.sum(vals * vals))
@@ -232,16 +229,7 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     var = max(total_sq / n_samples - mean * mean, 0.0)
     value = lebesgue * mean
     std_error = lebesgue * math.sqrt(var / n_samples)
-    return VolumeEstimate(value, std_error, n_samples, lebesgue * _mean_density(sp, disk_r))
-
-
-def _mean_density(sp: SpaceParams, disk_r: float) -> float:
-    """Mean of lambda^2 over the model cylinder (1 for kappa = 0)."""
-    if sp.kappa == 0.0:
-        return 1.0
-    # integral of lambda(rho)^2 * 2 pi rho over the disk / (pi disk_r^2)
-    a = -0.25 * sp.kappa
-    return 1.0 / (1.0 - a * disk_r**2)
+    return VolumeEstimate(value, std_error, n_samples, base_disk_area(sp, R) * 2.0 * height)
 
 
 def sl2_volume_bracket(ball: BallSpec) -> tuple[float, float]:
@@ -257,8 +245,7 @@ def sl2_volume_bracket(ball: BallSpec) -> tuple[float, float]:
         raise UnsupportedSpaceError("bracket is specific to kappa<0, tau>0")
     a = math.sqrt(-sp.kappa)
     lower = (4.0 * math.pi / (a * a)) * (math.sinh(a * R) / a - R)
-    disk_area = (4.0 * math.pi / -sp.kappa) * math.sinh(0.5 * a * R) ** 2
-    upper = disk_area * 2.0 * sl2_max_height_bound(sp, R)
+    upper = base_disk_area(sp, R) * 2.0 * sl2_max_height_bound(sp, R)
     return lower, upper
 
 

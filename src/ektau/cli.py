@@ -11,8 +11,9 @@ infinite numeric flag, geodesic --family or --a for kappa >= 0 and
 geodesic --phi or --theta for kappa < 0, where they select nothing, an
 argument the library rejects with ValueError, and a config or output file
 that cannot be opened) or a space the command does not support,
-3 hypothesis violation, 4 numerical failure.  All work runs in the calling
-thread, and output is bit-identical for identical parameters and seed.
+3 hypothesis violation, 4 numerical failure (floating-point overflow,
+division by zero and invalid operations included).  All work runs in the
+calling thread, and output is bit-identical for identical parameters and seed.
 
 The argument parser is built once per process, on first use, and never
 mutated; config values are applied on a fresh parser.
@@ -25,6 +26,8 @@ import functools
 import json
 import math
 import sys
+
+import numpy as np
 
 from .core import FrameVector, PointE, SpaceParams
 from .errors import (
@@ -201,25 +204,29 @@ def cmd_ball_volume(args) -> None:
          ["R", "volume", "std_err", "bounding_volume"], rows, extras)
 
 
-def _build_example(args, sp: SpaceParams):
-    name = args.example
-    if name == "umbrella":
-        return umbrella(sp)
-    nil_only = {
-        "plane": lambda: affine_plane(sp.tau, args.a_coef, args.b_coef),
-        "fmp": lambda: fmp_surface(sp.tau, args.theta_param),
-        "catenoid": lambda: catenoid(sp.tau, args.neck, args.r_max),
-    }
-    if name not in nil_only:
-        raise CliError(f"unknown example {name!r}")
-    if sp.kappa != 0.0:
-        raise UnsupportedSpaceError(f"example {name!r} is defined for kappa = 0 only")
-    return nil_only[name]()
+# example name -> ((description, test) of the spaces it is defined in, builder)
+_EVERY_SPACE = ("every E(kappa, tau)", lambda sp: True)
+_KAPPA_ZERO = ("kappa = 0", lambda sp: sp.kappa == 0.0)
+EXAMPLES = {
+    "umbrella": (_EVERY_SPACE, lambda sp, args: umbrella(sp)),
+    "plane": (_KAPPA_ZERO, lambda sp, args: affine_plane(sp.tau, args.a_coef, args.b_coef)),
+    "fmp": (_KAPPA_ZERO, lambda sp, args: fmp_surface(sp.tau, args.theta_param)),
+    "catenoid": (_KAPPA_ZERO, lambda sp, args: catenoid(sp.tau, args.neck, args.r_max)),
+}
+
+
+def _build_example(args):
+    sp = SpaceParams(args.kappa, args.tau)
+    if args.example not in EXAMPLES:
+        raise CliError(f"unknown example {args.example!r}")
+    (spaces, supports), build = EXAMPLES[args.example]
+    if not supports(sp):
+        raise UnsupportedSpaceError(f"example {args.example!r} is defined for {spaces} only")
+    return build(sp, args)
 
 
 def cmd_growth(args) -> None:
-    sp = SpaceParams(args.kappa, args.tau)
-    surface = _build_example(args, sp)
+    surface = _build_example(args)
     fam_tag = FAMILY_TAGS.get(args.family)
     if fam_tag is None:
         raise CliError("family must be intrinsic, extrinsic or cylinder")
@@ -228,8 +235,8 @@ def cmd_growth(args) -> None:
     extras = {}
     if len(radii) >= 6:
         expected = {"model": "power", "value": 3.0, "comparison": "exact"}
-        if sp.kappa < 0.0:
-            expected = {"model": "exponential", "value": math.sqrt(-sp.kappa),
+        if args.kappa < 0.0:
+            expected = {"model": "exponential", "value": math.sqrt(-args.kappa),
                         "comparison": "exact"}
         verdict, fit = growth_verdict(radii, [r[1] for r in rows], expected)
         extras = {
@@ -245,8 +252,7 @@ def cmd_growth(args) -> None:
 
 
 def cmd_collin_krust(args) -> None:
-    sp = SpaceParams(args.kappa, args.tau)
-    surface = _build_example(args, sp)
+    surface = _build_example(args)
     radii = _parse_radii(args.radii)
     sweep = collin_krust_sweep(surface.graph, radii)
     rows = [
@@ -371,7 +377,8 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
         args = _apply_config(args, argv)
         _check_finite(args)
-        args.run(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.run(args)
     except (CliError, UnsupportedSpaceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

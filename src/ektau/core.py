@@ -10,6 +10,10 @@ The projection (x, y, z) -> (x, y) is a Riemannian submersion onto the
 constant-curvature surface M^2(kappa), and E3 is a unit Killing field whose
 integral curves are the fibers.
 
+This module alone knows the base surface: mu (``_mu``, which checks the
+model domain) and the model radius, its inverse, circle length and area of
+the base disk of radius R, each split once into kappa = 0 and kappa < 0.
+
 All functions here are pure; the value types are frozen dataclasses.
 """
 
@@ -28,6 +32,10 @@ __all__ = [
     "BasePoint",
     "FrameVector",
     "lambda_factor",
+    "base_disk_model_radius",
+    "base_intrinsic_radius",
+    "base_circle_length",
+    "base_disk_area",
     "coord_to_frame",
     "frame_to_coord",
     "metric_matrix",
@@ -116,12 +124,15 @@ class FrameVector:
         return np.array([self.a1, self.a2, self.a3])
 
 
-def _mu(sp: SpaceParams, x: float, y: float) -> float:
+def _mu(sp: SpaceParams, x, y=0.0):
+    """mu = 1/lambda at the points (x, y), scalars or arrays; _mu(sp, r) at radius r.
+
+    ModelDomainError if mu <= 0 anywhere.  A scalar costs one float
+    comparison, and kappa = 0 (mu = 1) is not checked.
+    """
     mu = 1.0 + 0.25 * sp.kappa * (x * x + y * y)
-    if mu <= 0.0:
-        raise ModelDomainError(
-            f"point (x={x}, y={y}) outside the model disk of kappa={sp.kappa}"
-        )
+    if sp.kappa < 0.0 and (mu <= 0.0 if isinstance(mu, float) else np.any(mu <= 0.0)):
+        raise ModelDomainError(f"point outside the model disk of kappa={sp.kappa}")
     return mu
 
 
@@ -131,6 +142,36 @@ def lambda_factor(sp: SpaceParams, p) -> float:
     p may be a BasePoint or a PointE (only x, y are used).
     """
     return 1.0 / _mu(sp, p.x, p.y)
+
+
+def base_disk_model_radius(sp: SpaceParams, R: float) -> float:
+    """Model (Euclidean) radius of the base disk of intrinsic radius R."""
+    if sp.kappa == 0.0:
+        return R
+    return sp.model_radius * math.tanh(0.5 * math.sqrt(-sp.kappa) * R)
+
+
+def base_intrinsic_radius(sp: SpaceParams, rho):
+    """Vectorized inverse of base_disk_model_radius (the rim reads as 1 ulp inside)."""
+    if sp.kappa == 0.0:
+        return rho
+    sk = math.sqrt(-sp.kappa)
+    return (2.0 / sk) * np.arctanh(np.minimum(0.5 * sk * rho, 1.0 - 1e-16))
+
+
+def base_circle_length(sp: SpaceParams, R: float) -> float:
+    """Length of the base circle of intrinsic radius R in M^2(kappa)."""
+    if sp.kappa == 0.0:
+        return 2.0 * math.pi * R
+    sk = math.sqrt(-sp.kappa)
+    return (2.0 * math.pi / sk) * math.sinh(sk * R)
+
+
+def base_disk_area(sp: SpaceParams, R: float) -> float:
+    """Area of the base disk of intrinsic radius R in M^2(kappa)."""
+    if sp.kappa == 0.0:
+        return math.pi * R**2
+    return (4.0 * math.pi / -sp.kappa) * math.sinh(0.5 * math.sqrt(-sp.kappa) * R) ** 2
 
 
 def coord_to_frame(sp: SpaceParams, p: PointE, v) -> FrameVector:

@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ._quadrature import leggauss
-from .core import FrameVector, PointE, SpaceParams, coord_to_frame
+from .core import FrameVector, PointE, SpaceParams, _mu, coord_to_frame
 from .errors import ConvergenceError, ModelDomainError, UnsupportedSpaceError
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "zeta_critical_points",
     "sl2_max_height_bound",
     "ball_height",
-    "base_disk_model_radius",
     "delta_alpha",
     "nil_group_translate",
     "hyperbolic_distance",
@@ -88,9 +87,7 @@ class GeodesicSample:
 def _ode_rhs(sp: SpaceParams, state: np.ndarray) -> np.ndarray:
     """Right-hand side for the 6-dim state (x, y, z, a1, a2, a3)."""
     x, y, z, a1, a2, a3 = state
-    mu = 1.0 + 0.25 * sp.kappa * (x * x + y * y)
-    if mu <= 0.0:
-        raise ModelDomainError(f"geodesic left the model at (x={x}, y={y})")
+    mu = _mu(sp, x, y)
     k2 = 0.5 * sp.kappa
     t = sp.tau
     return np.array(
@@ -136,12 +133,9 @@ def integrate_geodesic(
     def rhs(_t, y):
         return _ode_rhs(sp, y)
 
-    events = []
-    if sp.kappa < 0.0:
-        def model_exit(_t, y):
-            return 1.0 + 0.25 * sp.kappa * (y[0] ** 2 + y[1] ** 2) - 1e-12
-        model_exit.terminal = True
-        events.append(model_exit)
+    def model_exit(_t, y):
+        return _mu(sp, y[0], y[1]) - 1e-12
+    model_exit.terminal = True
 
     sol = solve_ivp(
         rhs,
@@ -151,7 +145,7 @@ def integrate_geodesic(
         rtol=tol,
         atol=tol,
         dense_output=True,
-        events=events or None,
+        events=model_exit if sp.kappa < 0.0 else None,
     )
     if sol.status == -1:
         raise ConvergenceError(f"integrator failed: {sol.message}", best=sol.t[-1])
@@ -297,7 +291,7 @@ def _sl2_xyz(kappa, tau, family, a, t):
 def _sl2_validate(sp: SpaceParams, family: str, a: float | None):
     if sp.kappa >= 0.0:
         raise UnsupportedSpaceError("sl2 closed forms require kappa < 0")
-    lim = 2.0 / math.sqrt(-sp.kappa)
+    lim = sp.model_radius
     if family == "elliptic":
         if a is None or not (0.0 <= a < lim):
             raise ValueError(f"elliptic family needs 0 <= a < {lim}")
@@ -428,14 +422,6 @@ def ball_height(sp: SpaceParams, R: float) -> float:
     if sp.is_sl2:
         return sl2_max_height_bound(sp, R)
     return R
-
-
-def base_disk_model_radius(sp: SpaceParams, R: float) -> float:
-    """Model (Euclidean) radius of the base disk of intrinsic radius R."""
-    if sp.kappa == 0.0:
-        return R
-    sk = math.sqrt(-sp.kappa)
-    return (2.0 / sk) * math.tanh(0.5 * sk * R)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +635,7 @@ def _nil_distance_origin(tau: float, x: float, y: float, z: float,
     return float(np.min(t[ok]))
 
 
-def distance(sp: SpaceParams, p: PointE, q: PointE, tol: float = 1e-10) -> float:
+def distance(sp: SpaceParams, p: PointE, q: PointE) -> float:
     """Geodesic distance between p and q.
 
     Implemented for R^3, Nil3 (multistart shooting over the closed-form
@@ -661,7 +647,7 @@ def distance(sp: SpaceParams, p: PointE, q: PointE, tol: float = 1e-10) -> float
         return math.dist((p.x, p.y, p.z), (q.x, q.y, q.z))
     if sp.is_nil:
         d = nil_group_translate(sp.tau, p, q)
-        return _nil_distance_origin(sp.tau, d.x, d.y, d.z, tol=tol)
+        return _nil_distance_origin(sp.tau, d.x, d.y, d.z)
     if sp.is_product:
         dh = hyperbolic_distance(sp.kappa, p, q)
         return math.hypot(dh, q.z - p.z)
@@ -687,10 +673,7 @@ def distance_upper_bound(sp: SpaceParams, p: PointE, q: PointE,
     xs = p.x + s * (q.x - p.x)
     ys = p.y + s * (q.y - p.y)
     dx, dy = q.x - p.x, q.y - p.y
-    mu = 1.0 + 0.25 * sp.kappa * (xs * xs + ys * ys)
-    if np.any(mu <= 0.0):
-        raise ModelDomainError("segment leaves the model disk")
-    lam = 1.0 / mu
+    lam = 1.0 / _mu(sp, xs, ys)
     cross = ys * dx - xs * dy
     integrand = np.sqrt(lam**2 * (dx * dx + dy * dy) + sp.tau**2 * lam**2 * cross**2)
     return float(np.sum(w * integrand) + abs(q.z - p.z))
@@ -716,7 +699,7 @@ def measure_distance_equivalence(
         x, y = rng.uniform(-box, box, size=2)
         z = rng.uniform(-box * box, box * box)
         p = PointE(float(x), float(y), float(z))
-        d = _nil_distance_origin(tau, p.x, p.y, p.z)
+        d = float(nil_distance_reduced(tau, math.hypot(p.x, p.y), p.z))
         if d <= cutoff:
             continue
         ratio = delta_alpha(alpha, p) / d

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quadrature import QuadratureResult, integrate_annulus
-from .core import BasePoint, SpaceParams
+from .core import (BasePoint, SpaceParams, _mu, base_circle_length,
+                   base_disk_model_radius, base_intrinsic_radius)
 from .errors import HypothesisViolationError
-from .geodesics import ball_height, base_disk_model_radius, hyperbolic_distance
+from .geodesics import ball_height
 
 __all__ = [
     "BoundaryArc",
@@ -36,7 +37,6 @@ __all__ = [
     "mean_curvature",
     "graph_area",
     "base_disk_area_weighted",
-    "base_circle_length",
     "lemma41_bound",
     "lemma42_bound",
     "factorization_lhs",
@@ -88,11 +88,7 @@ class BaseDomain:
         def inside(x, y):
             return np.hypot(x, y) < R
 
-        def rim(s):
-            ang = 2.0 * math.pi * np.asarray(s)
-            return R * np.cos(ang), R * np.sin(ang)
-
-        return BaseDomain(inside, (BoundaryArc(rim),), "disk", {"R": R})
+        return BaseDomain(inside, (_circle_arc(R),), "disk", {"R": R})
 
     @staticmethod
     def annulus(r_in: float, r_out: float) -> "BaseDomain":
@@ -103,20 +99,21 @@ class BaseDomain:
             r = np.hypot(x, y)
             return (r > r_in) & (r < r_out)
 
-        def inner(s):
-            ang = 2.0 * math.pi * np.asarray(s)
-            return r_in * np.cos(ang), r_in * np.sin(ang)
-
-        def outer(s):
-            ang = 2.0 * math.pi * np.asarray(s)
-            return r_out * np.cos(ang), r_out * np.sin(ang)
-
         return BaseDomain(
             inside,
-            (BoundaryArc(inner), BoundaryArc(outer)),
+            (_circle_arc(r_in), _circle_arc(r_out)),
             "annulus",
             {"r_in": r_in, "r_out": r_out},
         )
+
+
+def _circle_arc(r: float) -> BoundaryArc:
+    """The circle of model radius r as a finite-value boundary arc."""
+    def curve(s):
+        ang = 2.0 * math.pi * np.asarray(s)
+        return r * np.cos(ang), r * np.sin(ang)
+
+    return BoundaryArc(curve)
 
 
 @dataclass(frozen=True)
@@ -155,22 +152,26 @@ def z_field(sp: SpaceParams, p: BasePoint) -> np.ndarray:
 
 
 def _gu_components(sp: SpaceParams, x, y, ux, uy):
-    """Frame components of Gu = grad(u) + Z from coordinate partials."""
-    mu = 1.0 + 0.25 * sp.kappa * (x * x + y * y)
-    return ux * mu + sp.tau * y, uy * mu - sp.tau * x
+    """Frame components (Gu1, Gu2) of Gu = grad(u) + Z from coordinate
+    partials, and mu at (x, y) (ModelDomainError outside the model disk)."""
+    mu = _mu(sp, x, y)
+    return ux * mu + sp.tau * y, uy * mu - sp.tau * x, mu
+
+
+def _fields_from_grad(sp: SpaceParams, p: BasePoint, grad):
+    g1, g2, _ = _gu_components(sp, p.x, p.y, grad[0], grad[1])
+    W = math.sqrt(1.0 + g1 * g1 + g2 * g2)
+    return np.array([g1, g2]), W
 
 
 def graph_fields(g: GraphSurface, p: BasePoint) -> GraphFields:
     """Z, Gu, W and the angle function nu of the graph at p."""
-    ux, uy = g.grad(p.x, p.y)
-    g1, g2 = _gu_components(g.sp, p.x, p.y, ux, uy)
-    W = math.sqrt(1.0 + g1 * g1 + g2 * g2)
-    return GraphFields(z_field(g.sp, p), np.array([g1, g2]), W, 1.0 / W)
+    Gu, W = _fields_from_grad(g.sp, p, g.grad(p.x, p.y))
+    return GraphFields(z_field(g.sp, p), Gu, W, 1.0 / W)
 
 
-def _gu_derivatives(sp, x, y, ux, uy, uxx, uxy, uyy):
-    """Coordinate partials of the frame components (Gu1, Gu2)."""
-    mu = 1.0 + 0.25 * sp.kappa * (x * x + y * y)
+def _gu_derivatives(sp, mu, x, y, ux, uy, uxx, uxy, uyy):
+    """Coordinate partials of the frame components (Gu1, Gu2); mu at (x, y)."""
     kx, ky = 0.5 * sp.kappa * x, 0.5 * sp.kappa * y
     d1x = uxx * mu + ux * kx
     d1y = uxy * mu + ux * ky + sp.tau
@@ -183,43 +184,39 @@ def mean_curvature(g: GraphSurface, p: BasePoint, step: float = DIV_FD_STEP):
     """H(u)(p) = (1/2) div(Gu/W) in the base metric of M^2(kappa).
 
     The divergence of a field with frame components (v1, v2) is
-    lambda^{-2} (d_x(lambda v1) + d_y(lambda v2)).  With analytic second
+    lambda^{-2} (d_x(lambda v1) + d_y(lambda v2)), which is
+    mu (d_x v1 + d_y v2) - (kappa/2)(x v1 + y v2).  With analytic second
     derivatives the divergence is exact; otherwise the two outer partials
     are central differences with the given step.
     """
     sp = g.sp
     x, y = np.asarray(p.x, dtype=float), np.asarray(p.y, dtype=float)
-    mu = 1.0 + 0.25 * sp.kappa * (x * x + y * y)
-    lam = 1.0 / mu
     if g.hess_u is not None and g.grad_u is not None:
         ux, uy = g.grad_u(x, y)
         uxx, uxy, uyy = g.hess_u(x, y)
-        g1, g2 = _gu_components(sp, x, y, ux, uy)
+        g1, g2, mu = _gu_components(sp, x, y, ux, uy)
         W = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-        d1x, d1y, d2x, d2y = _gu_derivatives(sp, x, y, ux, uy, uxx, uxy, uyy)
+        d1x, d1y, d2x, d2y = _gu_derivatives(sp, mu, x, y, ux, uy, uxx, uxy, uyy)
         Wx = (g1 * d1x + g2 * d2x) / W
         Wy = (g1 * d1y + g2 * d2y) / W
         v1x = (d1x * W - g1 * Wx) / (W * W)
         v2y = (d2y * W - g2 * Wy) / (W * W)
-        lam_x = -(lam * lam) * 0.5 * sp.kappa * x
-        lam_y = -(lam * lam) * 0.5 * sp.kappa * y
-        div = mu * mu * (lam_x * g1 / W + lam * v1x + lam_y * g2 / W + lam * v2y)
-        out = 0.5 * div
-        return float(out) if out.ndim == 0 else out
+        div = mu * (v1x + v2y) - 0.5 * sp.kappa * (x * g1 + y * g2) / W
+    else:
+        def lam_v(xs, ys):
+            uxs, uys = g.grad(xs, ys)
+            g1, g2, mus = _gu_components(sp, xs, ys, uxs, uys)
+            W = np.sqrt(1.0 + g1 * g1 + g2 * g2)
+            lams = 1.0 / mus
+            return lams * g1 / W, lams * g2 / W
 
-    def lam_v(xs, ys):
-        uxs, uys = g.grad(xs, ys)
-        g1, g2 = _gu_components(sp, xs, ys, uxs, uys)
-        W = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-        lams = 1.0 / (1.0 + 0.25 * sp.kappa * (xs * xs + ys * ys))
-        return lams * g1 / W, lams * g2 / W
-
-    h = step
-    v1p, _ = lam_v(x + h, y)
-    v1m, _ = lam_v(x - h, y)
-    _, v2p = lam_v(x, y + h)
-    _, v2m = lam_v(x, y - h)
-    div = mu * mu * ((v1p - v1m) + (v2p - v2m)) / (2.0 * h)
+        mu = _mu(sp, x, y)
+        h = step
+        v1p, _ = lam_v(x + h, y)
+        v1m, _ = lam_v(x - h, y)
+        _, v2p = lam_v(x, y + h)
+        _, v2m = lam_v(x, y - h)
+        div = mu * mu * ((v1p - v1m) + (v2p - v2m)) / (2.0 * h)
     out = 0.5 * div
     return float(out) if out.ndim == 0 else out
 
@@ -234,9 +231,9 @@ def _area_density(g: GraphSurface, mask_fn=None):
 
     def f(x, y):
         ux, uy = g.grad(x, y)
-        g1, g2 = _gu_components(sp, x, y, ux, uy)
+        g1, g2, mu = _gu_components(sp, x, y, ux, uy)
         W = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-        lam = 1.0 / (1.0 + 0.25 * sp.kappa * (x * x + y * y))
+        lam = 1.0 / mu
         out = W * lam * lam
         if mask_fn is not None:
             out = np.where(mask_fn(x, y), out, 0.0)
@@ -278,14 +275,6 @@ def graph_area(g: GraphSurface, r_outer: float, rel_tol: float = 1e-6,
     return integrate_annulus(_area_density(g, full_mask), r0, r1, rel_tol=rel_tol)
 
 
-def base_circle_length(sp: SpaceParams, R: float) -> float:
-    """Length of the base circle of intrinsic radius R in M^2(kappa)."""
-    if sp.kappa == 0.0:
-        return 2.0 * math.pi * R
-    sk = math.sqrt(-sp.kappa)
-    return (2.0 * math.pi / sk) * math.sinh(sk * R)
-
-
 def base_disk_area_weighted(g: GraphSurface, R: float, with_z: bool,
                             rel_tol: float = 1e-6) -> float:
     """integral over Omega(R) of 1 (base area) or of |Z|, in the base metric."""
@@ -294,7 +283,7 @@ def base_disk_area_weighted(g: GraphSurface, R: float, with_z: bool,
     r0, r1 = _quad_limits(g, re)
 
     def f(x, y):
-        lam = 1.0 / (1.0 + 0.25 * sp.kappa * (x * x + y * y))
+        lam = 1.0 / _mu(sp, x, y)
         out = lam * lam
         if with_z:
             out = out * sp.tau * np.hypot(x, y)
@@ -318,7 +307,7 @@ def _arc_length_inside(sp: SpaceParams, arc: BoundaryArc, model_r: float,
     """
     x, y = _arc_samples(arc)
     xm, ym = 0.5 * (x[:-1] + x[1:]), 0.5 * (y[:-1] + y[1:])
-    lam = 1.0 / (1.0 + 0.25 * sp.kappa * (xm * xm + ym * ym))
+    lam = 1.0 / _mu(sp, xm, ym)
     seg = lam * np.hypot(np.diff(x), np.diff(y))
     inside = np.hypot(xm, ym) <= model_r + 1e-12
     if weight is not None:
@@ -411,12 +400,6 @@ def lemma42_bound(g: GraphSurface, R: float, h=None) -> Lemma42Bound:
 # Pointwise identities
 # ---------------------------------------------------------------------------
 
-def _fields_from_grad(sp: SpaceParams, p: BasePoint, grad):
-    g1, g2 = _gu_components(sp, p.x, p.y, grad[0], grad[1])
-    W = math.sqrt(1.0 + g1 * g1 + g2 * g2)
-    return np.array([g1, g2]), W
-
-
 def factorization_lhs(sp: SpaceParams, p: BasePoint, grad_u, grad_v) -> float:
     """<Gu/Wu - Gv/Wv, Gu - Gv> at p; nonnegative for all gradient pairs."""
     gu, wu = _fields_from_grad(sp, p, grad_u)
@@ -451,7 +434,7 @@ def calabi_lee_check(g: GraphSurface, grad_v, points) -> np.ndarray:
         if nv2 >= 1.0:
             raise HypothesisViolationError(f"|grad v| >= 1 at {p} (not spacelike)")
         ux, uy = g.grad(p.x, p.y)
-        g1, g2 = _gu_components(g.sp, p.x, p.y, ux, uy)
+        g1, g2, _ = _gu_components(g.sp, p.x, p.y, ux, uy)
         res.append(abs((1.0 - nv2) * (1.0 + g1 * g1 + g2 * g2) - 1.0))
     return np.array(res)
 
@@ -469,12 +452,9 @@ def gradient_height_bounds(g: GraphSurface, radii, n_theta: int = 64):
     for r in radii:
         x, y = r * np.cos(ang), r * np.sin(ang)
         ux, uy = g.grad(x, y)
-        g1, g2 = _gu_components(sp, x, y, ux, uy)
+        g1, g2, _ = _gu_components(sp, x, y, ux, uy)
         gu = np.sqrt(g1 * g1 + g2 * g2)
-        if sp.kappa == 0.0:
-            rr = r
-        else:
-            rr = hyperbolic_distance(sp.kappa, BasePoint(0.0, 0.0), BasePoint(r, 0.0))
+        rr = base_intrinsic_radius(sp, r)
         B = max(B, float(np.max(gu)) / (1.0 + rr * rr))
         C = max(C, float(np.max(np.abs(g.u(x, y)))) / (1.0 + rr * rr) ** 1.5)
     return B, C

@@ -10,17 +10,16 @@ statements and say so via their tolerances, never certifying a limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ._quadrature import leggauss
-from .core import SpaceParams
+from .core import SpaceParams, base_disk_model_radius
 from .errors import ConvergenceError, HypothesisViolationError
 from .balls import GrowthFit, ball_distance, volume_growth_fit
-from .geodesics import base_disk_model_radius
 from .graphs import GraphSurface, _area_density, _gu_components, _quad_limits, graph_area
 from .surfaces import ExampleSurface, catenoid, fmp_surface, umbrella, affine_plane
 
@@ -156,10 +155,9 @@ def _extrinsic_area(g: GraphSurface, R: float, n_theta: int = 256,
 
 def _induced_metric(g: GraphSurface, x, y):
     """First-fundamental-form coefficients (E, F, G) in model coordinates."""
-    sp = g.sp
     ux, uy = g.grad(x, y)
-    g1, g2 = _gu_components(sp, x, y, ux, uy)
-    lam2 = (1.0 / (1.0 + 0.25 * sp.kappa * (x * x + y * y))) ** 2
+    g1, g2, mu = _gu_components(g.sp, x, y, ux, uy)
+    lam2 = (1.0 / mu) ** 2
     return lam2 * (1.0 + g1 * g1), lam2 * g1 * g2, lam2 * (1.0 + g2 * g2)
 
 
@@ -187,14 +185,18 @@ def _intrinsic_distances(g: GraphSurface, L: float, n: int, limit: float = np.in
     edge get the same length.  The graph is built straight into CSR arrays:
     one row per grid node, in node order, holding its 32 edges in ``_STEPS``
     order.  A neighbour off the grid becomes an inf-weight self-loop, so the
-    graph has exactly n^2 nodes.  Dijkstra stops at ``limit``: distances up
-    to it are exactly those of the unlimited solve, and every farther node
-    reads inf.  Returns (distance field, area weight field, cell area).
+    graph has exactly n^2 nodes.  Nodes outside the model disk (grid corners
+    for kappa < 0) get no metric and, as the halo does, inf step lengths.
+    Dijkstra stops at ``limit``: distances up to it are exactly those of the
+    unlimited solve, and every farther node reads inf.  Returns (distance
+    field, area weight field, cell area).
     """
     xs = np.linspace(-L, L, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    E, F, G = _induced_metric(g, X, Y)
+    inside = X * X + Y * Y < g.sp.model_radius**2
+    E, F, G = np.zeros((3, n, n))
+    E[inside], F[inside], G[inside] = _induced_metric(g, X[inside], Y[inside])
 
     # step lengths sqrt(q) per stencil vector, inf on a halo around the grid
     P = _HALO
@@ -202,6 +204,7 @@ def _intrinsic_distances(g: GraphSurface, L: float, n: int, limit: float = np.in
     for k, (di, dj) in enumerate(_STENCIL):
         dx, dy = di * h, dj * h
         s[k, P:-P, P:-P] = np.sqrt(E * dx * dx + 2 * F * dx * dy + G * dy * dy)
+    s[:, P:-P, P:-P][:, ~inside] = np.inf
     # edge lengths in node order; a block of grid rows is filled one step
     # direction at a time, then transposed into its nodes' CSR rows
     lens = np.empty((n, n, len(_STEPS)))
@@ -240,8 +243,12 @@ def intrinsic_area_table(g: GraphSurface, radii, n0: int = INTRINSIC_BASE_N,
     the largest radius, since no area counts a farther node.  The field is
     refined (grid doubling) until every radius is stable to the requested
     relative tolerance; ConvergenceError, carrying the finest areas in
-    ``best``, is raised if four levels do not reach it.
+    ``best``, is raised if four levels do not reach it.  A domain that
+    excludes the origin, where the balls are centred, raises
+    HypothesisViolationError before any grid is solved.
     """
+    if not g.domain.membership(0.0, 0.0):
+        raise HypothesisViolationError("the domain excludes the origin, the balls' centre")
     radii = np.asarray(radii, dtype=float)
     r_max = float(np.max(radii))
     L = base_disk_model_radius(g.sp, r_max)
@@ -353,12 +360,7 @@ def calibration_check(g: GraphSurface, n_grid: int = 400):
         raise HypothesisViolationError("calibration compares graphs over a disk")
     R = g.domain.params["R"]
     area_g = graph_area(g, R).value
-    umb = GraphSurface(
-        g.sp, g.domain,
-        lambda x, y: np.zeros(np.shape(x)),
-        lambda x, y: (np.zeros(np.shape(x)), np.zeros(np.shape(x))),
-    )
-    area_u = graph_area(umb, R).value
+    area_u = graph_area(replace(umbrella(g.sp).graph, domain=g.domain), R).value
     return area_g, area_u, area_g - area_u
 
 
@@ -394,9 +396,9 @@ def collin_krust_sweep(g: GraphSurface, radii, n_grid: int = 512,
     Rg, Tg = np.meshgrid(rs, th, indexing="ij")
     vals = np.abs(g.u(Rg * np.cos(Tg), Rg * np.sin(Tg)))
     vals = np.where(g.domain.membership(Rg * np.cos(Tg), Rg * np.sin(Tg)), vals, 0.0)
-    running = np.maximum.accumulate(np.max(vals, axis=1))
-    M = np.array([float(running[np.searchsorted(rs, r, side="right") - 1])
-                  for r in radii])
+    # running[i] is the sup over the first i sample circles (0 over none)
+    running = np.concatenate(([0.0], np.maximum.accumulate(np.max(vals, axis=1))))
+    M = running[np.searchsorted(rs, radii, side="right")]
     if np.max(M) <= boundary_tol:
         raise HypothesisViolationError("u is (numerically) identically zero")
     upper = radii >= 0.5 * r_max

@@ -15,9 +15,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._quadrature import integrate_annulus, leggauss
-from .core import SpaceParams
+from .core import SpaceParams, _mu, base_disk_area, base_disk_model_radius
 from .errors import ConvergenceError, HypothesisViolationError
-from .geodesics import base_disk_model_radius
 from .graphs import BaseDomain, GraphSurface
 
 __all__ = [
@@ -62,18 +61,15 @@ def _zero(x, y):
 
 def _umbrella_area(sp: SpaceParams, R: float) -> float:
     """Extrinsic area of the horizontal umbrella inside B_R(0)."""
+    if sp.tau == 0.0:
+        return base_disk_area(sp, R)
     if sp.kappa == 0.0:
-        if sp.tau == 0.0:
-            return math.pi * R * R
         t2 = sp.tau**2
         return 2.0 * math.pi / (3.0 * t2) * ((1.0 + t2 * R * R) ** 1.5 - 1.0)
-    sk = math.sqrt(-sp.kappa)
-    if sp.tau == 0.0:
-        return (4.0 * math.pi / -sp.kappa) * math.sinh(0.5 * sk * R) ** 2
 
     def f(x, y):
         r = np.hypot(x, y)
-        lam = 1.0 / (1.0 + 0.25 * sp.kappa * r * r)
+        lam = 1.0 / _mu(sp, r)
         return np.sqrt(1.0 + sp.tau**2 * r * r) * lam * lam
 
     return integrate_annulus(f, 0.0, base_disk_model_radius(sp, R), rel_tol=1e-9).value
@@ -336,7 +332,8 @@ def ideal_polygon_area_numeric(kappa: float, n: int, n_quad: int = 64) -> float:
     """
     if kappa >= 0.0:
         raise ValueError("kappa must be negative")
-    r_inf = 2.0 / math.sqrt(-kappa)
+    sp = SpaceParams(kappa, 0.0)
+    r_inf = sp.model_radius
     nodes, weights = leggauss(n_quad)
     s_max = math.sqrt(math.pi / 3.0)
     s = 0.5 * s_max * (nodes + 1.0)
@@ -348,7 +345,7 @@ def ideal_polygon_area_numeric(kappa: float, n: int, n_quad: int = 64) -> float:
     gap = np.exp(-w)  # 1 - (r/r_inf)^2
     r = r_inf * np.sqrt(-np.expm1(-w))
     dr_dw = 0.5 * r_inf * r_inf * gap / r
-    lam2 = 1.0 / (1.0 + 0.25 * kappa * r * r) ** 2
+    lam2 = 1.0 / _mu(sp, r) ** 2
     inner = 0.5 * w_edge * np.sum(weights * lam2 * r * dr_dw, axis=1)
     triangle = 6.0 * 0.5 * s_max * float(np.sum(weights * 2.0 * s * inner))
     return (2 * n - 2) * triangle

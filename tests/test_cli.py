@@ -16,6 +16,7 @@ import ektau
 from ektau import growth
 from ektau.cli import (
     EXIT_HYPOTHESIS,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     build_parser,
@@ -202,6 +203,25 @@ class TestGrowth:
         code, _, _ = run_cli(capsys, "growth", "--example", "torus")
         assert code == EXIT_USAGE
 
+    def test_intrinsic_balls_off_the_domain_exit_3_before_any_solve(
+            self, capsys, monkeypatch):
+        # the catenoid's domain is an annulus: no surface point lies over the
+        # origin, where intrinsic balls are centred
+        calls = []
+        monkeypatch.setattr(growth, "_intrinsic_distances",
+                            lambda *args, **kwargs: calls.append(args))
+        code, out, err = run_cli(capsys, "growth", "--example", "catenoid",
+                                 "--family", "intrinsic", "--radii", "2")
+        assert code == EXIT_HYPOTHESIS
+        assert out == "" and err.startswith("hypothesis violation: ")
+        assert calls == []
+
+    def test_overflow_exits_4(self, capsys):
+        # W = sqrt(1 + |Gu|^2) overflows for tau = 1e308
+        code, out, err = run_cli(capsys, "growth", "--tau", "1e308")
+        assert code == EXIT_NUMERICAL
+        assert out == "" and err.startswith("numerical failure: ")
+
     def test_json_extras_carry_verdict(self, capsys, schema):
         code, out, _ = run_cli(
             capsys, "growth", "--example", "umbrella", "--family", "cylinder",
@@ -225,6 +245,17 @@ class TestCollinKrust:
         slopes = [float(line.split(",")[2]) for line in lines[1:]]
         # the sup-height slope approaches E tau = 1 from above
         assert all(abs(s - 1.0) < 0.1 for s in slopes)
+
+    def test_radii_inside_the_neck_see_no_surface(self, capsys):
+        # the catenoid with neck 1 has no point over D_r for r < 1, so M = 0
+        # there; a radius of 5e-324 also leaves M / r finite
+        code, out, _ = run_cli(capsys, "collin-krust", "--example", "catenoid",
+                               "--radii", "5e-324,0.5,2,4")
+        assert code == EXIT_OK
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert [r[1] for r in rows[:2]] == [0.0, 0.0]
+        assert [r[2] for r in rows[:2]] == [0.0, 0.0]
+        assert 0.0 < rows[2][1] < rows[3][1]
 
     def test_zero_boundary_violation_exits_3(self, capsys):
         code, _, err = run_cli(

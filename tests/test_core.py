@@ -5,12 +5,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from ektau.core import (
     BasePoint,
     FrameVector,
     PointE,
     SpaceParams,
+    _mu,
+    base_circle_length,
+    base_disk_area,
+    base_disk_model_radius,
+    base_intrinsic_radius,
     connection_term,
     coord_to_frame,
     covariant_derivative,
@@ -89,6 +95,91 @@ class TestFrame:
         sp = SpaceParams(-1.0, 0.0)
         with pytest.raises(ModelDomainError):
             lambda_factor(sp, BasePoint(3.0, 0.0))
+
+
+MU_KAPPAS = st.sampled_from([0.0, -0.5, -1.0, -4.0])
+# model coordinates inside, outside and exactly on the rims r = 1 and r = 2
+MU_COORDS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1.0, -1.0, 2.0, -2.0]))
+
+
+class TestMu:
+    """The conformal factor's one owner, against mu = 1 + kappa (x^2 + y^2) / 4."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(MU_KAPPAS, MU_COORDS, MU_COORDS, st.booleans())
+    def test_scalar(self, kappa, x, y, numpy_scalar):
+        sp = SpaceParams(kappa, 0.5)
+        if numpy_scalar:
+            x, y = np.float64(x), np.float64(y)
+        expect = 1.0 + kappa * (x * x + y * y) / 4.0
+        if expect <= 0.0:
+            with pytest.raises(ModelDomainError):
+                _mu(sp, x, y)
+        else:
+            assert _mu(sp, x, y) == expect
+            assert _mu(sp, math.hypot(x, y)) == pytest.approx(expect, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(MU_KAPPAS, st.lists(st.tuples(MU_COORDS, MU_COORDS), min_size=1, max_size=8))
+    def test_array(self, kappa, points):
+        sp = SpaceParams(kappa, 0.5)
+        x, y = np.array(points).T
+        expect = 1.0 + kappa * (x * x + y * y) / 4.0
+        if np.any(expect <= 0.0):
+            with pytest.raises(ModelDomainError):
+                _mu(sp, x, y)
+            with pytest.raises(ModelDomainError):
+                _mu(sp, x.reshape(-1, 1), y.reshape(-1, 1))
+        else:
+            assert np.array_equal(_mu(sp, x, y), expect)
+            assert _mu(sp, x.reshape(-1, 1), y.reshape(-1, 1)).shape == (len(points), 1)
+
+
+class TestBaseDisk:
+    """Model radius, circle length and area of the base disk of radius R."""
+
+    SPACES = [SpaceParams(0.0, 1.0), SpaceParams(-0.5, 0.0), SpaceParams(-1.0, 1.0),
+              SpaceParams(-4.0, 0.3)]
+
+    def test_circle_length_closed_forms(self):
+        assert math.isclose(base_circle_length(SpaceParams(0.0, 1.0), 2.0),
+                            4.0 * math.pi, rel_tol=1e-14)
+        assert math.isclose(base_circle_length(SpaceParams(-1.0, 0.0), 2.0),
+                            2.0 * math.pi * math.sinh(2.0), rel_tol=1e-14)
+
+    def test_disk_area_closed_forms(self):
+        assert math.isclose(base_disk_area(SpaceParams(0.0, 1.0), 2.0),
+                            4.0 * math.pi, rel_tol=1e-15)
+        # 2 pi (cosh R - 1) for kappa = -1
+        assert math.isclose(base_disk_area(SpaceParams(-1.0, 0.0), 2.0),
+                            2.0 * math.pi * (math.cosh(2.0) - 1.0), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("R", [0.1, 1.0, 3.0])
+    def test_in_the_model(self, R):
+        # the circle is the model circle scaled by lambda, the disk's area is
+        # the integral of lambda^2 over the model disk
+        for sp in self.SPACES:
+            rho = base_disk_model_radius(sp, R)
+            lam = lambda r: 1.0 / (1.0 + 0.25 * sp.kappa * r * r)
+            assert math.isclose(base_circle_length(sp, R), 2.0 * math.pi * rho * lam(rho),
+                                rel_tol=1e-9)
+            area = quad(lambda r: 2.0 * math.pi * r * lam(r) ** 2, 0.0, rho,
+                        epsabs=0.0, epsrel=1e-12)[0]
+            assert math.isclose(base_disk_area(sp, R), area, rel_tol=1e-9)
+            assert math.isclose(base_intrinsic_radius(sp, rho), R, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("R", [0.1, 1.0, 3.0, 7.5])
+    def test_area_derivative_is_circle_length(self, R):
+        h = 1e-5 * R
+        for sp in self.SPACES:
+            slope = (base_disk_area(sp, R + h) - base_disk_area(sp, R - h)) / (2.0 * h)
+            assert math.isclose(slope, base_circle_length(sp, R), rel_tol=1e-8)
+
+    def test_intrinsic_radius_is_vectorized(self):
+        sp = SpaceParams(-1.0, 0.0)
+        R = np.array([0.5, 1.0, 2.0])
+        rho = np.array([base_disk_model_radius(sp, r) for r in R])
+        assert np.allclose(base_intrinsic_radius(sp, rho), R, rtol=1e-14)
 
 
 class TestConnection:

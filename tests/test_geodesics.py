@@ -337,6 +337,9 @@ class TestDistance:
         m, M = measure_distance_equivalence(1.0, n=40, seed=3)
         assert 0.0 < m <= M < math.inf
         assert M < 3.0  # loose sanity window for tau = 1
+        # the constants measured through the multistart shooting solver
+        assert m == pytest.approx(0.4647277986861065, rel=1e-9)
+        assert M == pytest.approx(0.999129301985774, rel=1e-9)
 
 
 TAUS = st.floats(0.1, 10.0)

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ektau.core import BasePoint, SpaceParams
-from ektau.errors import HypothesisViolationError
+from ektau.core import BasePoint, SpaceParams, base_disk_model_radius
+from ektau.errors import HypothesisViolationError, ModelDomainError
 from ektau.graphs import (
     BaseDomain,
     BoundaryArc,
     GraphSurface,
-    base_circle_length,
     base_disk_area_weighted,
-    base_disk_model_radius,
     calabi_lee_check,
     factorization_identity_residual,
     factorization_lhs,
@@ -58,6 +56,16 @@ class TestFields:
         assert np.allclose(f.Gu, f.Z)
         assert math.isclose(f.W, math.sqrt(2.0), rel_tol=1e-14)
         assert math.isclose(f.nu * f.W, 1.0, rel_tol=1e-14)
+
+    def test_outside_model_disk_raises(self):
+        # (3, 0) lies outside the model disk of radius 2 of kappa = -1
+        sp = SpaceParams(-1.0, 0.0)
+        g_fd = GraphSurface(sp, BaseDomain.full_plane(), lambda x, y: 0.3 * x)
+        for g in (_quadratic_graph(sp), g_fd):
+            with pytest.raises(ModelDomainError):
+                graph_fields(g, BasePoint(3.0, 0.0))
+            with pytest.raises(ModelDomainError):
+                mean_curvature(g, BasePoint(3.0, 0.0))
 
     def test_fd_gradient_fallback(self):
         sp = SpaceParams(0.0, 1.0)
@@ -145,12 +153,6 @@ class TestAreas:
         re = base_disk_model_radius(sp, R)
         exact = 4.0 * math.pi * math.sinh(0.5 * R) ** 2
         assert math.isclose(graph_area(g, re).value, exact, rel_tol=1e-8)
-
-    def test_base_circle_length(self):
-        assert math.isclose(base_circle_length(SpaceParams(0.0, 1.0), 2.0),
-                            4.0 * math.pi, rel_tol=1e-14)
-        assert math.isclose(base_circle_length(SpaceParams(-1.0, 0.0), 2.0),
-                            2.0 * math.pi * math.sinh(2.0), rel_tol=1e-14)
 
     def test_weighted_disk_integrals_nil(self):
         # int_{D_R} 1 = pi R^2 and int_{D_R} |Z| = (2 pi tau / 3) R^3

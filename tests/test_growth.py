@@ -8,10 +8,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ektau import growth, surfaces
-from ektau.core import SpaceParams
+from ektau.core import SpaceParams, base_disk_model_radius
 from ektau.balls import ball_distance, ball_membership
 from ektau.errors import ConvergenceError, HypothesisViolationError, UnsupportedSpaceError
-from ektau.geodesics import base_disk_model_radius
 from ektau.graphs import BaseDomain, GraphSurface, _quad_limits
 from ektau.growth import (
     RegionFamily,
@@ -37,11 +36,15 @@ def _umbrella_area_nil(tau, R):
 
 def _coo_intrinsic_distances(g, L, n, limit=np.inf):
     """Oracle distance field: the same 16-vector stencil graph built from
-    shifted-slice COO triplets, converted with tocsr and solved undirected."""
+    shifted-slice COO triplets, converted with tocsr and solved undirected.
+    Nodes outside the model disk (1 + kappa (x^2 + y^2) / 4 <= 0) have no
+    edges."""
     xs = np.linspace(-L, L, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    E, F, G = _induced_metric(g, X, Y)
+    inside = 1.0 + 0.25 * g.sp.kappa * (X * X + Y * Y) > 0.0
+    E, F, G = np.zeros((3, n, n))
+    E[inside], F[inside], G[inside] = _induced_metric(g, X[inside], Y[inside])
     rows, cols, lens = [], [], []
     idx = np.arange(n * n).reshape(n, n)
     for di, dj in growth._STENCIL:
@@ -52,9 +55,10 @@ def _coo_intrinsic_distances(g, L, n, limit=np.inf):
         dx, dy = di * h, dj * h
         q_src = E[si, sj] * dx * dx + 2 * F[si, sj] * dx * dy + G[si, sj] * dy * dy
         q_dst = E[ti, tj] * dx * dx + 2 * F[ti, tj] * dx * dy + G[ti, tj] * dy * dy
-        rows.append(idx[si, sj].ravel())
-        cols.append(idx[ti, tj].ravel())
-        lens.append((0.5 * (np.sqrt(q_src) + np.sqrt(q_dst))).ravel())
+        keep = inside[si, sj] & inside[ti, tj]
+        rows.append(idx[si, sj][keep])
+        cols.append(idx[ti, tj][keep])
+        lens.append((0.5 * (np.sqrt(q_src) + np.sqrt(q_dst)))[keep])
     graph_m = coo_matrix(
         (np.concatenate(lens), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n * n, n * n),
