@@ -7,9 +7,9 @@ ambient isometries, so volumes are computed for origin-centered balls.
 These are invariant under rotation about the z-axis, as are the volume
 density and the cylinder, so a sample is drawn as its horizontal radius and
 height only.  ``ball_membership`` decides membership in every space that
-has an exact distance; in Nil3 each sample solves the one-dimensional
-geodesic reduction of ``geodesics.nil_distance_reduced`` until it is
-decided.
+has an exact distance; in Nil3 a sample that the bounds
+rho <= d <= rho + |z| leave open solves the one-dimensional geodesic
+reduction of ``geodesics.nil_distance_reduced`` until it is decided.
 """
 
 from __future__ import annotations
@@ -170,15 +170,29 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk]))
 
 
-def _sample_cylinder(rng, n, disk_r, height):
-    """Uniform Lebesgue samples (rho, z) in the model cylinder, rho = hypot(x, y).
+def _sample_cylinder(seed, chunk, out, disk_r, height):
+    """Fill the rows (rho, z) of out with uniform Lebesgue samples in the
+    model cylinder and return them.
 
-    The chunk's stream holds rows of radius, angle and height draws.  The
-    angle row is drawn but not read, so that the stream layout, and with it
-    every published volume, stays fixed.
+    The chunk's Philox stream holds rows of radius, angle and height draws,
+    one 64-bit word per draw, four words per counter step.  The angle row
+    is not needed, so the height row is drawn from a second generator whose
+    counter starts at the block holding word 2n, after discarding the words
+    of that block before it.  Both rows, and with them every published
+    volume, are bit-identical to a (3, n) draw.
     """
-    u = rng.random((3, n))
-    return disk_r * np.sqrt(u[0]), height * (2.0 * u[2] - 1.0)
+    n = out.shape[1]
+    rho, z = out
+    _chunk_rng(seed, chunk).random(out=rho)
+    bits = np.random.Philox(key=[seed, chunk], counter=(2 * n) // 4)
+    bits.random_raw((2 * n) % 4)
+    np.random.Generator(bits).random(out=z)
+    np.sqrt(rho, out=rho)
+    rho *= disk_r
+    z *= 2.0
+    z -= 1.0
+    z *= height
+    return rho, z
 
 
 def comparison_cylinder_volume(tau: float, R: float) -> float:
@@ -208,10 +222,10 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     total_sq = 0.0
     n_done = 0
     chunk = 0
+    buf = np.empty((2, min(MC_CHUNK, n_samples)))
     while n_done < n_samples:
         n = min(MC_CHUNK, n_samples - n_done)
-        rng = _chunk_rng(seed, chunk)
-        rho, z = _sample_cylinder(rng, n, disk_r, height)
+        rho, z = _sample_cylinder(seed, chunk, buf[:, :n], disk_r, height)
         hit = ball_membership(sp, rho, z, R)
         if sp.is_product:  # kappa < 0, tau = 0
             lam = 1.0 / _mu(sp, rho)

@@ -57,6 +57,7 @@ _VERTICAL_EPS = 1e-14
 _REDUCTION_EPS = 4.0 * np.finfo(float).eps  # relative step at which the reduction has converged
 _REDUCTION_MAX_ITER = 100
 _REDUCTION_TINY = 2.0**-60  # relative size below which a closed form is exact to rounding
+_SHOOTING_MIN = 1e-3  # rho + |z| below which the shooting solver's absolute tolerance is too coarse
 
 
 @dataclass(frozen=True)
@@ -495,11 +496,14 @@ def nil_distance_reduced(tau: float, rho, z, radius: float | None = None):
     every probe narrows; a step leaving the bracket is replaced by
     bisection.
 
-    With a radius it returns the membership d < radius instead: a sample is
-    then dropped as soon as D at one end of its bracket puts the distance on
-    one side of the radius, so only samples next to the sphere iterate until
-    the reduction converges.  The probes do not depend on the radius, so
-    membership agrees with the distance form up to rounding.
+    With a radius it returns the membership d < radius instead.  Before any
+    solve, rho >= radius settles a point as outside (D >= rho) and
+    rho + |z| < radius as inside (a horizontal segment and a fiber segment
+    are a curve of that length).  A solved point is dropped as soon as D at
+    one end of its bracket puts the distance on one side of the radius, so
+    only points next to the sphere iterate until the reduction converges.
+    The probes do not depend on the radius, so membership agrees with the
+    distance form up to rounding.
     """
     rho, z = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                  np.abs(np.asarray(z, dtype=float)))
@@ -519,6 +523,9 @@ def nil_distance_reduced(tau: float, rho, z, radius: float | None = None):
     else:
         out = ~solve & (trivial_d < radius)
         solve &= rho < radius  # D >= rho on (0, pi)
+        inside = solve & (rho + z < radius)  # D <= rho + |z|
+        out |= inside
+        solve &= ~inside
     idx = np.nonzero(solve)[0]
     rr, zz = rho[idx], z[idx]
     r2 = rr * rr
@@ -638,15 +645,20 @@ def _nil_distance_origin(tau: float, x: float, y: float, z: float,
 def distance(sp: SpaceParams, p: PointE, q: PointE) -> float:
     """Geodesic distance between p and q.
 
-    Implemented for R^3, Nil3 (multistart shooting over the closed-form
-    family after left-translating q so p is the origin) and the product
-    spaces kappa < 0, tau = 0.  For kappa < 0, tau > 0 use
-    distance_upper_bound.
+    Implemented for R^3, Nil3 and the product spaces kappa < 0, tau = 0.
+    Nil3 left-translates q so p is the origin, then uses multistart
+    shooting over the closed-form family; within rho + |z| < 1e-3 of the
+    origin, where the shooting tolerance (absolute, 1e-10) is no longer
+    small against the distance, it uses nil_distance_reduced.  For
+    kappa < 0, tau > 0 use distance_upper_bound.
     """
     if sp.is_euclidean:
         return math.dist((p.x, p.y, p.z), (q.x, q.y, q.z))
     if sp.is_nil:
         d = nil_group_translate(sp.tau, p, q)
+        rho = math.hypot(d.x, d.y)
+        if rho + abs(d.z) < _SHOOTING_MIN:
+            return float(nil_distance_reduced(sp.tau, rho, d.z))
         return _nil_distance_origin(sp.tau, d.x, d.y, d.z)
     if sp.is_product:
         dh = hyperbolic_distance(sp.kappa, p, q)

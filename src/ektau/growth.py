@@ -349,7 +349,7 @@ def growth_verdict(radii, areas, expected: dict) -> tuple[str, GrowthFit]:
 # Calibration and Collin-Krust
 # ---------------------------------------------------------------------------
 
-def calibration_check(g: GraphSurface, n_grid: int = 400):
+def calibration_check(g: GraphSurface):
     """(area of g, area of the umbrella over the same disk, margin).
 
     The graph must live over a disk domain; the umbrella over that disk

@@ -297,7 +297,7 @@ class TestAngleFreeSampling:
 
     @pytest.mark.parametrize("n_samples,seed,R", [
         (1000, 0, 0.5), (5000, 7, 1.0), (50_001, 123, 2.0), (65_536, 3, 3.7),
-        (200_000, 42, 1.3),
+        (200_000, 42, 1.3), (65_538, 5, 1.7), (131_075, 9, 2.4),
     ])
     @pytest.mark.parametrize("kappa,tau", [(0.0, 0.0), (0.0, 1.0), (0.0, 0.5), (-1.0, 0.0)])
     def test_matches_the_xyz_chunk_loop(self, kappa, tau, n_samples, seed, R):
@@ -310,6 +310,26 @@ class TestAngleFreeSampling:
         else:
             assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
             assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+
+
+class TestGoldenVolumes:
+    """(value, std_error) as computed by the (3, n) chunk draw, pinned bit for
+    bit; the last chunks hold n % 4 = 1, 2 and 3 samples."""
+
+    @pytest.mark.parametrize("space,R,n_samples,seed,value,std_error", [
+        ((0.0, 0.0), 1.3, 65_537, 3, 9.206282605298279, 0.025414260479496315),
+        ((0.0, 0.0), 2.9, 131_074, 4, 102.35603624893646, 0.19933864806761376),
+        ((-1.0, 0.0), 2.0, 131_074, 5, 43.510047568405206, 0.09858785267307446),
+        ((-1.0, 0.0), 0.7, 65_539, 6, 1.4825401369004605, 0.004030420897755003),
+        ((0.0, 1.0), 1.2, 65_539, 7, 7.9022593600706825, 0.018876032317872788),
+        ((0.0, 2.0), 0.6, 65_537, 8, 0.992016374480191, 0.002351000797933196),
+        ((0.0, 1.0), 2.5, 131_074, 11, 89.67286319949763, 0.11489224100993402),
+        ((0.0, 0.5), 5.0, 65_539, 12, 719.6687528514858, 1.29223092135353),
+    ])
+    def test_pinned(self, space, R, n_samples, seed, value, std_error):
+        # Nil3 rows: 2 tau R below pi, then above, where the height formula switches
+        est = mc_volume(BallSpec(SpaceParams(*space), ORIGIN, R), n_samples, seed)
+        assert (est.value, est.std_error) == (value, std_error)
 
 
 class TestSl2Bracket:

@@ -333,6 +333,17 @@ class TestDistance:
         d = distance(sp, PointE(0, 0, 0), q)
         assert math.isclose(d, nil_distance_reduced(sp.tau, q.x, q.z), rel_tol=1e-9)
 
+    @pytest.mark.parametrize("q,expected", [
+        ((7.04e-23, 0.0, 0.0), 7.04e-23), ((0.0, 0.0, 1e-20), 1e-20),
+        ((0.0, 0.0, 1e-12), 1e-12), ((1e-12, 0.0, 1e-12), math.sqrt(2.0) * 1e-12),
+        ((0.0, 0.0, 0.0), 0.0),
+    ])
+    def test_nil_points_near_the_origin(self, q, expected):
+        # the shooting solver's absolute tolerance returned 0.0 or 1e-9 here;
+        # at this scale Nil3(1) is Euclidean to far below rounding
+        d = distance(SpaceParams(0.0, 1.0), PointE(0, 0, 0), PointE(*q))
+        assert math.isclose(d, expected, rel_tol=1e-12, abs_tol=0.0)
+
     def test_measured_equivalence_constants(self):
         m, M = measure_distance_equivalence(1.0, n=40, seed=3)
         assert 0.0 < m <= M < math.inf
@@ -399,6 +410,46 @@ class TestNilReduction:
         inside = nil_distance_reduced(tau, rho, z, radius=radius)
         clear = np.abs(d - radius) > 1e-12 * radius
         assert np.array_equal(inside[clear], (d < radius)[clear])
+
+    @settings(max_examples=300, deadline=None)
+    @given(tau=TAUS, rho=st.floats(1e-9, 50.0), log_ratio=st.floats(-15.0, 12.0),
+           anchor=st.sampled_from(["sum", "distance", "midway"]),
+           rel=st.sampled_from([0.0, 1e-12, -1e-12, 1e-3, -1e-3]), ulps=st.integers(-4, 4))
+    def test_membership_is_the_distance_test(self, tau, rho, log_ratio, anchor, rel, ulps):
+        """Radius mode equals d < R, except at ties.  The radii lie next to
+        rho + |z| (where the prefilter settles points inside), next to d, and
+        midway between rho and d (points that must be solved); z / rho spans
+        the near-plane and near-axis regimes, where rho < d < rho + |z| all
+        come close."""
+        z = rho * 10.0**log_ratio
+        d = float(nil_distance_reduced(tau, rho, z))
+        base = {"sum": rho + z, "distance": d, "midway": 0.5 * (rho + d)}[anchor]
+        radius = base * (1.0 + rel) + ulps * math.ulp(base)
+        if not radius > 0.0:
+            return
+        inside = bool(nil_distance_reduced(tau, rho, z, radius=radius))
+        if abs(d - radius) > 4e-16 * radius:
+            assert inside == (d < radius)
+
+    def test_batch_inside_the_prefilter_bound_makes_no_solve(self, monkeypatch):
+        calls = []
+        terms = ektau.geodesics._nil_reduction_terms
+
+        def counted(*args):
+            calls.append(args)
+            return terms(*args)
+
+        monkeypatch.setattr(ektau.geodesics, "_nil_reduction_terms", counted)
+        R = 2.0
+        rng = np.random.default_rng(5)
+        rho = rng.uniform(1e-3, R, 1000)
+        z = (R - rho) * rng.uniform(-0.999, 0.999, 1000)
+        assert nil_distance_reduced(1.0, rho, z, radius=R).all()
+        assert calls == []
+        # rho + |z| >= R with rho < R: the point must be solved
+        assert nil_distance_reduced(1.0, np.append(rho, 1.5), np.append(z, 1.0),
+                                    radius=R)[:-1].all()
+        assert calls
 
     @settings(max_examples=50, deadline=None)
     @given(tau=st.floats(0.3, 2.0), p=st.tuples(*[st.floats(-3, 3)] * 3),
