@@ -2,14 +2,16 @@
 
 Ball volumes are estimated by rejection sampling against a bounding
 cylinder (exponential-map Jacobians are avoided because of conjugate
-points).  Ball centers other than the origin reduce to the origin by the
-ambient isometries, so volumes are computed for origin-centered balls.
-These are invariant under rotation about the z-axis, as are the volume
-density and the cylinder, so a sample is drawn as its horizontal radius and
-height only.  ``ball_membership`` decides membership in every space that
-has an exact distance; in Nil3 a sample that the bounds
-rho <= d <= rho + |z| leave open solves the one-dimensional geodesic
-reduction of ``geodesics.nil_distance_reduced`` until it is decided.
+points).  The space is homogeneous, so every ball is the image of the ball
+of the same radius at the origin: ``in_ball`` moves the point by the
+isometry that takes the centre to the origin (``geodesics.to_origin``), and
+volumes are computed for origin-centred balls.  These are invariant under
+rotation about the z-axis, as are the volume density and the cylinder, so
+a point or a sample is its horizontal radius and height only.
+``ball_membership`` decides membership in every space that has an exact
+distance; in Nil3 a point that the bounds rho <= d <= rho + |z| leave open
+solves the one-dimensional geodesic reduction of
+``geodesics.nil_distance_reduced`` until it is decided.
 """
 
 from __future__ import annotations
@@ -22,21 +24,13 @@ import numpy as np
 from .core import (PointE, SpaceParams, _mu, base_disk_area, base_disk_model_radius,
                    base_intrinsic_radius)
 from .errors import UnsupportedSpaceError
-from .geodesics import (
-    ball_height,
-    distance,
-    hyperbolic_distance,
-    nil_distance_reduced,
-    nil_group_translate,
-    sl2_max_height_bound,
-)
+from .geodesics import ball_height, nil_distance_reduced, sl2_max_height_bound, to_origin
 
 __all__ = [
     "BallSpec",
     "VolumeEstimate",
     "GrowthFit",
     "bounding_cylinder",
-    "ball_distance",
     "ball_membership",
     "in_ball",
     "mc_volume",
@@ -46,20 +40,27 @@ __all__ = [
 ]
 
 MC_CHUNK = 1 << 16  # samples per RNG stream; fixed so results are chunk-count independent
-IN_BALL_SLACK = 1e-10  # in_ball's cylinder prefilter rejects only points this far outside
 
 
 @dataclass(frozen=True)
 class BallSpec:
-    """A geodesic ball B_R(center) of E(kappa, tau)."""
+    """A geodesic ball B_R(center) of E(kappa, tau).
+
+    The radius is positive and finite, and the centre a finite point of the
+    model (ModelDomainError outside the model disk).
+    """
 
     sp: SpaceParams
     center: PointE
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (0.0 < self.radius < math.inf):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        c = self.center
+        if not all(map(math.isfinite, (c.x, c.y, c.z))):
+            raise ValueError(f"center must have finite coordinates, got {c}")
+        _mu(self.sp, c.x, c.y)  # ModelDomainError outside the model disk
 
 
 @dataclass(frozen=True)
@@ -77,16 +78,19 @@ class GrowthFit:
     """Least-squares growth fits of a volume/area sequence in the radius.
 
     Both the power model log v = c + e log R and the exponential model
-    log v = c + r R are fitted; ``preferred`` names the model with the
+    log v = c + r R are fitted, each with its rms log-residual and the
+    standard error of its slope; ``preferred`` names the model with the
     smaller residual but neither is discarded.
     """
 
     power_exponent: float
     power_coeff: float
     power_residual: float
+    power_stderr: float
     exp_rate: float
     exp_coeff: float
     exp_residual: float
+    exp_stderr: float
     preferred: str
 
 
@@ -100,32 +104,6 @@ def bounding_cylinder(ball: BallSpec) -> tuple[float, float]:
     return base_disk_model_radius(sp, R), ball_height(sp, R)
 
 
-def _base_distance(sp: SpaceParams, rho):
-    """Distance in the base from the axis to the points at model radius rho.
-
-    R^3 and H^2 x R are Riemannian products, so d^2 = d_base^2 + z^2 there;
-    kappa < 0, tau > 0 has no exact distance and raises
-    UnsupportedSpaceError.
-    """
-    if sp.is_sl2:
-        raise UnsupportedSpaceError(
-            "exact kappa<0, tau>0 distance unavailable; use sl2_volume_bracket"
-        )
-    return base_intrinsic_radius(sp, rho)
-
-
-def ball_distance(sp: SpaceParams, rho, z):
-    """Vectorized distance from the origin to the points at model radius rho, height z.
-
-    Nil3 solves the exact one-dimensional geodesic reduction
-    (``nil_distance_reduced``); R^3 and H^2 x R give hypot(d_base, z).
-    kappa < 0, tau > 0 has no exact distance and raises UnsupportedSpaceError.
-    """
-    if sp.is_nil:
-        return nil_distance_reduced(sp.tau, rho, z)
-    return np.hypot(_base_distance(sp, rho), z)
-
-
 def ball_membership(sp: SpaceParams, rho, z, R: float):
     """Vectorized membership of the points at model radius rho, height z in B_R(0).
 
@@ -136,30 +114,22 @@ def ball_membership(sp: SpaceParams, rho, z, R: float):
     """
     if sp.is_nil:
         return nil_distance_reduced(sp.tau, rho, z, radius=R)
-    d_base = _base_distance(sp, rho)
+    if sp.is_sl2:
+        raise UnsupportedSpaceError("no exact kappa<0, tau>0 distance; use sl2_volume_bracket")
+    d_base = base_intrinsic_radius(sp, rho)
     if not (np.finfo(float).tiny <= R * R < math.inf):
         d_base, z, R = d_base / R, z / R, 1.0
     return d_base * d_base + z * z < R * R
 
 
 def in_ball(ball: BallSpec, p: PointE) -> bool:
-    """Whether p lies in the open ball, pre-filtered by the bounding cylinder."""
-    sp = ball.sp
-    disk_r, height = bounding_cylinder(ball)
-    if sp.is_nil:
-        q = nil_group_translate(sp.tau, ball.center, p)
-        rho = math.hypot(q.x, q.y)
-        if rho >= disk_r + IN_BALL_SLACK or abs(q.z) >= height + IN_BALL_SLACK:
-            return False
-        return bool(ball_membership(sp, rho, q.z, ball.radius))
-    if sp.is_product or sp.is_sl2:
-        if (
-            hyperbolic_distance(sp.kappa, ball.center.base(), p.base())
-            >= ball.radius + IN_BALL_SLACK
-            or abs(p.z - ball.center.z) >= height + IN_BALL_SLACK
-        ):
-            return False
-    return distance(sp, ball.center, p) < ball.radius
+    """Whether p lies in the open ball: ``ball_membership`` of p after the
+    isometry that takes the centre to the origin (``geodesics.to_origin``).
+
+    ValueError for a non-finite p, ModelDomainError for p outside the model
+    disk; kappa < 0, tau > 0 raises UnsupportedSpaceError for every p.
+    """
+    return bool(ball_membership(ball.sp, *to_origin(ball.sp, ball.center, p), ball.radius))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +173,11 @@ def comparison_cylinder_volume(tau: float, R: float) -> float:
 def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     """Monte Carlo ball volume, deterministic in (ball, n_samples, seed).
 
-    Samples are drawn uniformly in the bounding cylinder in fixed-size
-    chunks with counter-based per-chunk RNG streams, so the result does not
-    depend on how chunks are scheduled.  The integrand is the model volume
+    The volume does not depend on the centre, since an isometry takes the
+    ball to the one of the same radius at the origin.  Samples are drawn
+    uniformly in the bounding cylinder in fixed-size chunks with
+    counter-based per-chunk RNG streams, so the result does not depend on
+    how chunks are scheduled.  The integrand is the model volume
     density lambda^2 times the ball indicator (the density is 1 for
     kappa = 0); the standard error is the sample standard deviation of that
     integrand, which reduces to the binomial-proportion formula when the
@@ -282,21 +254,24 @@ def volume_growth_fit(radii, values) -> GrowthFit:
     if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
         raise ValueError("values must be finite and positive")
     logv = np.log(values)
-    pw, pw_res = _linfit(np.log(radii), logv)
-    ex, ex_res = _linfit(radii, logv)
+    pw, pw_res, pw_se = _linfit(np.log(radii), logv)
+    ex, ex_res, ex_se = _linfit(radii, logv)
     preferred = "power" if pw_res <= ex_res else "exponential"
     return GrowthFit(
         power_exponent=pw[0],
         power_coeff=math.exp(pw[1]),
         power_residual=pw_res,
+        power_stderr=pw_se,
         exp_rate=ex[0],
         exp_coeff=math.exp(ex[1]),
         exp_residual=ex_res,
+        exp_stderr=ex_se,
         preferred=preferred,
     )
 
 
 def _linfit(x, y):
-    coef, res, *_ = np.polyfit(x, y, 1, full=True)
-    rms = math.sqrt(float(res[0]) / len(x)) if res.size else 0.0
-    return (float(coef[0]), float(coef[1])), rms
+    """(slope, intercept), rms residual and slope standard error of a line fit."""
+    coef, cov = np.polyfit(x, y, 1, cov=True)
+    rms = math.sqrt(float(np.mean((y - np.polyval(coef, x)) ** 2)))
+    return (float(coef[0]), float(coef[1])), rms, math.sqrt(max(float(cov[0, 0]), 0.0))

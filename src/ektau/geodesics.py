@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ._quadrature import leggauss
-from .core import FrameVector, PointE, SpaceParams, _mu, coord_to_frame
+from .core import FrameVector, PointE, SpaceParams, _mu, base_intrinsic_radius, coord_to_frame
 from .errors import ConvergenceError, ModelDomainError, UnsupportedSpaceError
 
 __all__ = [
@@ -46,6 +46,8 @@ __all__ = [
     "nil_group_translate",
     "hyperbolic_distance",
     "nil_distance_reduced",
+    "to_origin",
+    "ball_distance",
     "distance",
     "distance_upper_bound",
     "measure_distance_equivalence",
@@ -440,23 +442,31 @@ def delta_alpha(alpha: float, p: PointE) -> float:
 def nil_group_translate(tau: float, p: PointE, q: PointE) -> PointE:
     """Left-translate q by p^{-1} under the Nil3 group law
     (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+tau(x y' - y x'))."""
-    dx = q.x - p.x
-    dy = q.y - p.y
-    dz = q.z - p.z - tau * (p.x * q.y - p.y * q.x)
-    return PointE(dx, dy, dz)
+    dz = q.z - p.z
+    if tau:  # for tau = 0 a plain difference, which cannot overflow in the twist
+        dz -= tau * (p.x * q.y - p.y * q.x)
+    return PointE(q.x - p.x, q.y - p.y, dz)
+
+
+def _disk_modulus(kappa: float, p, q) -> float:
+    """|phi(q)| for the automorphism phi of the unit disk that takes p to 0.
+
+    p and q are points of the conformal model of M^2(kappa), kappa < 0,
+    scaled onto the unit disk; ModelDomainError if either lies outside it.
+    """
+    s = math.sqrt(-kappa) / 2.0
+    w1 = complex(p.x, p.y) * s
+    w2 = complex(q.x, q.y) * s
+    if abs(w1) >= 1.0 or abs(w2) >= 1.0:
+        raise ModelDomainError("point outside the model disk")
+    return abs((w1 - w2) / (1.0 - w1 * w2.conjugate()))
 
 
 def hyperbolic_distance(kappa: float, p, q) -> float:
     """Distance in M^2(kappa), kappa < 0, in the conformal disk model."""
     if kappa >= 0.0:
         return math.hypot(q.x - p.x, q.y - p.y)
-    s = math.sqrt(-kappa) / 2.0
-    w1 = complex(p.x, p.y) * s
-    w2 = complex(q.x, q.y) * s
-    if abs(w1) >= 1.0 or abs(w2) >= 1.0:
-        raise ModelDomainError("point outside the model disk")
-    r = abs((w1 - w2) / (1.0 - w1 * w2.conjugate()))
-    return (1.0 / math.sqrt(-kappa)) * 2.0 * math.atanh(r)
+    return (1.0 / math.sqrt(-kappa)) * 2.0 * math.atanh(_disk_modulus(kappa, p, q))
 
 
 def _nil_reduction_terms(t, tau, rho):
@@ -574,18 +584,15 @@ def nil_distance_reduced(tau: float, rho, z, radius: float | None = None):
     return out.reshape(shape)
 
 
-def _nil_distance_origin(tau: float, x: float, y: float, z: float,
+def _nil_distance_origin(tau: float, rho: float, z: float,
                          tol: float = 1e-10, n_seeds: int = 32) -> float:
-    """Distance from the origin in Nil3(tau) by multistart Newton shooting.
+    """Distance from the origin in Nil3(tau) to the points at horizontal
+    radius rho and height z, by multistart Newton shooting.
 
-    Reduces to the (c, t) unknowns (c = cos(phi)) using the rotational
-    symmetry; theta only aligns the horizontal direction.  Minimizes t over
-    all converged geodesic branches.
+    Solves for the (c, t) unknowns (c = cos(phi)) of the closed-form
+    family and minimizes t over all converged geodesic branches.
     """
-    rho = math.hypot(x, y)
     z = abs(z)
-    if rho < _VERTICAL_EPS and z < _VERTICAL_EPS:
-        return 0.0
     if z < _VERTICAL_EPS:
         return rho  # horizontal straight lines are minimizing
     t_lo = max(rho, nil_max_height_inverse(tau, z))
@@ -642,31 +649,56 @@ def _nil_distance_origin(tau: float, x: float, y: float, z: float,
     return float(np.min(t[ok]))
 
 
-def distance(sp: SpaceParams, p: PointE, q: PointE) -> float:
-    """Geodesic distance between p and q.
+def to_origin(sp: SpaceParams, c: PointE, p: PointE) -> tuple[float, float]:
+    """(model radius, height) of p after the isometry that takes c to the origin.
 
-    Implemented for R^3, Nil3 and the product spaces kappa < 0, tau = 0.
-    Nil3 left-translates q so p is the origin, then uses multistart
-    shooting over the closed-form family; within rho + |z| < 1e-3 of the
-    origin, where the shooting tolerance (absolute, 1e-10) is no longer
-    small against the distance, it uses nil_distance_reduced.  For
-    kappa < 0, tau > 0 use distance_upper_bound.
+    Distances from the origin are invariant under the rotations about the
+    z-axis, so these two numbers decide the distance from c to p and so
+    whether p lies in a ball centred at c.  kappa = 0 left-translates by
+    c^-1 in the Nil3 group law (a plain difference for tau = 0); kappa < 0,
+    tau = 0 moves the base by the disk automorphism and the height by a
+    difference.  ValueError for a non-finite coordinate, ModelDomainError
+    for a point outside the model disk; the isometries of kappa < 0,
+    tau > 0 are not implemented and raise UnsupportedSpaceError.
     """
-    if sp.is_euclidean:
-        return math.dist((p.x, p.y, p.z), (q.x, q.y, q.z))
+    if not all(map(math.isfinite, (c.x, c.y, c.z, p.x, p.y, p.z))):
+        raise ValueError(f"points must have finite coordinates, got {c} and {p}")
+    if sp.kappa == 0.0:
+        q = nil_group_translate(sp.tau, c, p)
+        return math.hypot(q.x, q.y), q.z
+    if sp.is_sl2:
+        raise UnsupportedSpaceError("kappa<0, tau>0 has no exact distance or off-centre "
+                                    "ball; distance_upper_bound gives a bound")
+    return sp.model_radius * _disk_modulus(sp.kappa, c, p), p.z - c.z
+
+
+def ball_distance(sp: SpaceParams, rho, z):
+    """Vectorized distance from the origin to the points at model radius rho, height z.
+
+    Nil3 solves the exact one-dimensional geodesic reduction
+    (``nil_distance_reduced``); R^3 and H^2 x R give hypot(d_base, z).
+    kappa < 0, tau > 0 has no exact distance and raises UnsupportedSpaceError.
+    """
     if sp.is_nil:
-        d = nil_group_translate(sp.tau, p, q)
-        rho = math.hypot(d.x, d.y)
-        if rho + abs(d.z) < _SHOOTING_MIN:
-            return float(nil_distance_reduced(sp.tau, rho, d.z))
-        return _nil_distance_origin(sp.tau, d.x, d.y, d.z)
-    if sp.is_product:
-        dh = hyperbolic_distance(sp.kappa, p, q)
-        return math.hypot(dh, q.z - p.z)
-    raise UnsupportedSpaceError(
-        "exact distance is not implemented for kappa<0, tau>0; "
-        "distance_upper_bound provides a flagged upper bound"
-    )
+        return nil_distance_reduced(sp.tau, rho, z)
+    if sp.is_sl2:
+        raise UnsupportedSpaceError("no exact kappa<0, tau>0 distance; use sl2_volume_bracket")
+    return np.hypot(base_intrinsic_radius(sp, rho), z)
+
+
+def distance(sp: SpaceParams, p: PointE, q: PointE) -> float:
+    """Geodesic distance between p and q: ball_distance after to_origin(sp, p, q).
+
+    Implemented for R^3, Nil3 and the product spaces kappa < 0, tau = 0;
+    for kappa < 0, tau > 0 use distance_upper_bound.  Finite Nil3 offsets
+    with rho + |z| >= 1e-3 go to the multistart shooting solver over the
+    closed-form family; nearer, its absolute tolerance (1e-10) is not small
+    against the distance.  A Nil3 offset that overflows raises ValueError.
+    """
+    rho, z = to_origin(sp, p, q)
+    if sp.is_nil and _SHOOTING_MIN <= rho + abs(z) < math.inf:
+        return _nil_distance_origin(sp.tau, rho, z)
+    return float(ball_distance(sp, rho, z))
 
 
 def distance_upper_bound(sp: SpaceParams, p: PointE, q: PointE,

@@ -19,7 +19,8 @@ from scipy.sparse.csgraph import dijkstra
 from ._quadrature import leggauss
 from .core import SpaceParams, base_disk_model_radius
 from .errors import ConvergenceError, HypothesisViolationError
-from .balls import GrowthFit, ball_distance, volume_growth_fit
+from .balls import GrowthFit, volume_growth_fit
+from .geodesics import ball_distance
 from .graphs import GraphSurface, _area_density, _gu_components, _quad_limits, graph_area
 from .surfaces import ExampleSurface, catenoid, fmp_surface, umbrella, affine_plane
 
@@ -30,7 +31,6 @@ __all__ = [
     "region_areas",
     "intrinsic_area_table",
     "growth_verdict",
-    "fit_with_stderr",
     "calibration_check",
     "collin_krust_sweep",
     "table1_suite",
@@ -136,7 +136,7 @@ def _extrinsic_area(g: GraphSurface, R: float, n_theta: int = 256,
     """Area of the graph inside B_R(0) by per-ray radial quadrature.
 
     Each ray is cut where the ambient distance of the graph point,
-    ``balls.ball_distance``, reaches R (``_ray_stop``), and the area density
+    ``geodesics.ball_distance``, reaches R (``_ray_stop``), and the area density
     is integrated up to there by Gauss-Legendre in r.
     """
     dist = lambda x, y: ball_distance(g.sp, np.hypot(x, y), g.u(x, y))
@@ -307,17 +307,6 @@ def region_areas(g, fam: RegionFamily, radii) -> list[float]:
 # Fits and verdicts
 # ---------------------------------------------------------------------------
 
-def fit_with_stderr(radii, values, model: str):
-    """(slope, stderr, rms residual) of log v against log R or R."""
-    radii = np.asarray(radii, dtype=float)
-    x = np.log(radii) if model == "power" else radii
-    y = np.log(np.asarray(values, dtype=float))
-    coef, cov = np.polyfit(x, y, 1, cov=True)
-    resid = y - np.polyval(coef, x)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0))), rms
-
-
 def growth_verdict(radii, areas, expected: dict) -> tuple[str, GrowthFit]:
     """Compare measured growth against an expected model.
 
@@ -329,7 +318,10 @@ def growth_verdict(radii, areas, expected: dict) -> tuple[str, GrowthFit]:
     """
     fit = volume_growth_fit(radii, areas)
     model = expected["model"]
-    slope, se, rms = fit_with_stderr(radii, areas, model)
+    if model == "power":
+        slope, se, rms = fit.power_exponent, fit.power_stderr, fit.power_residual
+    else:
+        slope, se, rms = fit.exp_rate, fit.exp_stderr, fit.exp_residual
     if rms > VERDICT_RESIDUAL_MAX:
         return "inconclusive", fit
     target = expected["value"]

@@ -41,7 +41,6 @@ from ektau.growth import (
     _extrinsic_area,
     calibration_check,
     collin_krust_sweep,
-    fit_with_stderr,
     intrinsic_area_table,
     region_area,
 )

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ektau.core import PointE, SpaceParams
-from ektau.errors import UnsupportedSpaceError
+from ektau.errors import ModelDomainError, UnsupportedSpaceError
 from ektau.balls import (
     MC_CHUNK,
     BallSpec,
     _chunk_rng,
-    ball_distance,
     ball_membership,
     bounding_cylinder,
     comparison_cylinder_volume,
@@ -23,7 +22,9 @@ from ektau.balls import (
     volume_growth_fit,
 )
 from ektau.geodesics import (
+    ball_distance,
     distance,
+    hyperbolic_distance,
     nil_distance_reduced,
     nil_group_translate,
     nil_max_height,
@@ -51,8 +52,22 @@ class TestBoundingCylinder:
         assert height == 3.0
 
     def test_bad_radius(self):
+        for R in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                BallSpec(SpaceParams(0.0, 0.0), ORIGIN, R)
+
+    @pytest.mark.parametrize("space", [(0.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("center", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                        (0.0, 0.0, -math.inf)])
+    def test_non_finite_center(self, space, center):
         with pytest.raises(ValueError):
-            BallSpec(SpaceParams(0.0, 0.0), ORIGIN, 0.0)
+            BallSpec(SpaceParams(*space), PointE(*center), 1.0)
+
+    @pytest.mark.parametrize("center", [(5.0, 0.0, 0.0), (0.0, 2.0, 0.0), (1.5, -1.5, 3.0)])
+    def test_center_outside_the_model_disk(self, center):
+        for tau in (0.0, 1.0):
+            with pytest.raises(ModelDomainError):
+                BallSpec(SpaceParams(-1.0, tau), PointE(*center), 1.0)
 
 
 class TestMembership:
@@ -108,6 +123,41 @@ class TestMembership:
         assert inside == in_ball(BallSpec(sp, ORIGIN, radius), nil_group_translate(tau, c, p))
         moved = BallSpec(sp, nil_group_translate(tau, g_inv, c), radius)
         assert inside == in_ball(moved, nil_group_translate(tau, g_inv, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kappa=st.sampled_from([-1.0, -0.3]),
+        radius=st.floats(0.2, 3.0),
+        center=st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi),
+                         st.floats(-3.0, 3.0)),
+        point=st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi),
+                        st.floats(-3.0, 3.0)),
+        turn=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_product_off_center_ball(self, kappa, radius, center, point, turn):
+        """In H^2 x R, p lies in B_R(c) iff hypot(d_H(c, p), dz) < R, and
+        rotating c and p together about the z-axis changes nothing."""
+        sp = SpaceParams(kappa, 0.0)
+
+        def at(frac, angle, z):
+            r = frac * sp.model_radius
+            return PointE(r * math.cos(angle), r * math.sin(angle), z)
+
+        c, p = at(*center), at(*point)
+        d = math.hypot(hyperbolic_distance(kappa, c, p), p.z - c.z)
+        if abs(d - radius) <= 1e-9 * radius:
+            return
+        inside = in_ball(BallSpec(sp, c, radius), p)
+        assert inside == (d < radius)
+        turned = [at(frac, angle + turn, z) for frac, angle, z in (center, point)]
+        assert in_ball(BallSpec(sp, turned[0], radius), turned[1]) == inside
+
+    @pytest.mark.parametrize("q", [(0.0, 0.0, 0.0), (0.1, 0.0, 0.1), (1.9, 0.0, 0.0),
+                                   (0.0, 0.0, 100.0), (-1.0, 1.0, -50.0)])
+    def test_sl2_unsupported_for_every_point(self, q):
+        ball = BallSpec(SpaceParams(-1.0, 1.0), ORIGIN, 1.0)
+        with pytest.raises(UnsupportedSpaceError):
+            in_ball(ball, PointE(*q))
 
 
 class TestBallMembership:

@@ -28,6 +28,7 @@ from ektau.geodesics import (
     sl2_geodesic_closed,
     sl2_geodesic_velocity,
     sl2_max_height_bound,
+    to_origin,
     zeta_critical_points,
     zeta_r,
     zeta_r_prime,
@@ -318,6 +319,27 @@ class TestDistance:
         # the submersion onto the base is distance-nonincreasing
         assert ub >= hyperbolic_distance(sp.kappa, p.base(), q.base())
         assert ub >= abs(q.z - p.z)
+
+    @pytest.mark.parametrize("space", [(0.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, space, bad):
+        sp = SpaceParams(*space)
+        good = PointE(0.1, -0.2, 0.3)
+        for p, q in ((good, PointE(bad, 0.0, 0.0)), (PointE(0.0, 0.0, bad), good),
+                     (PointE(0.0, bad, 0.0), PointE(0.0, bad, 0.0))):
+            with pytest.raises(ValueError):
+                to_origin(sp, p, q)
+            with pytest.raises(ValueError):
+                distance(sp, p, q)
+
+    def test_offset_that_overflows(self):
+        p, q = PointE(1e200, 0.0, 0.0), PointE(0.0, 1e200, 0.0)
+        assert math.isclose(distance(SpaceParams(0.0, 0.0), p, q), math.sqrt(2.0) * 1e200,
+                            rel_tol=1e-15)
+        # the Nil3 twist tau (x y' - y x') overflows to an infinite height
+        for a, b in ((p, q), (PointE(1e160, 0.0, 0.0), PointE(0.0, 1e160, 0.0))):
+            with pytest.raises(ValueError):
+                distance(SpaceParams(0.0, 1.0), a, b)
 
     def test_group_translate_identity(self):
         p = PointE(0.3, 0.7, -0.2)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.stats import linregress
 
 from ektau import growth, surfaces
 from ektau.core import SpaceParams, base_disk_model_radius
-from ektau.balls import ball_distance, ball_membership
+from ektau.balls import ball_membership, volume_growth_fit
 from ektau.errors import ConvergenceError, HypothesisViolationError, UnsupportedSpaceError
+from ektau.geodesics import ball_distance
 from ektau.graphs import BaseDomain, GraphSurface, _quad_limits
 from ektau.growth import (
     RegionFamily,
@@ -20,7 +22,6 @@ from ektau.growth import (
     _ray_stop,
     calibration_check,
     collin_krust_sweep,
-    fit_with_stderr,
     growth_verdict,
     intrinsic_area_table,
     region_area,
@@ -266,11 +267,18 @@ class TestRayStops:
 
 
 class TestFitsAndVerdicts:
-    def test_fit_with_stderr_exact(self):
-        radii = np.array([1.0, 2.0, 4.0, 8.0])
-        slope, se, rms = fit_with_stderr(radii, 3.0 * radii**2.5, "power")
-        assert math.isclose(slope, 2.5, abs_tol=1e-12)
-        assert rms < 1e-12
+    def test_growth_fit_stderr(self):
+        radii = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+        exact = volume_growth_fit(radii, 3.0 * radii**2.5)
+        assert math.isclose(exact.power_exponent, 2.5, abs_tol=1e-12)
+        assert exact.power_residual < 1e-12 and exact.power_stderr < 1e-12
+        noisy = 3.0 * radii**2.5 * np.exp(np.random.default_rng(3).normal(0.0, 0.1, radii.size))
+        fit = volume_growth_fit(radii, noisy)
+        for x, slope, se in ((np.log(radii), fit.power_exponent, fit.power_stderr),
+                             (radii, fit.exp_rate, fit.exp_stderr)):
+            ref = linregress(x, np.log(noisy))
+            assert math.isclose(slope, ref.slope, rel_tol=1e-12)
+            assert math.isclose(se, ref.stderr, rel_tol=1e-10)
 
     def test_verdict_exact_power(self):
         radii = [1, 2, 3, 4.5, 6, 8]
