@@ -61,8 +61,10 @@ def _annulus_level(f, r0, r1, n_r, n_theta):
     else:
         r = r1 * s
         wr = ws * r1
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    # midpoint angles: no node lies on a ray at a multiple of 2 pi / n_theta,
+    # where a domain cut such as a quadrant's edge would put it
     wt = 2.0 * math.pi / n_theta
+    theta = (np.arange(n_theta) + 0.5) * wt
     total = 0.0
     step = max(1, _CHUNK_POINTS // n_r)
     for i in range(0, n_theta, step):

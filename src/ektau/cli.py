@@ -6,6 +6,10 @@ unknown config keys are rejected.  Output is RFC-4180-style CSV (LF line
 endings, '.' decimal) or JSON with stable key order validating against the
 schema shipped in ektau/schemas/output.schema.json.
 
+growth and collin-krust build the examples umbrella, plane, fmp and
+catenoid; the catenoid is the upper half-catenoid over the whole annulus
+r > --neck, so no flag truncates its domain.
+
 Exit codes: 0 success, 2 usage/validation error (including a nan or
 infinite numeric flag, geodesic --family or --a for kappa >= 0 and
 geodesic --phi or --theta for kappa < 0, where they select nothing, an
@@ -211,7 +215,7 @@ EXAMPLES = {
     "umbrella": (_EVERY_SPACE, lambda sp, args: umbrella(sp)),
     "plane": (_KAPPA_ZERO, lambda sp, args: affine_plane(sp.tau, args.a_coef, args.b_coef)),
     "fmp": (_KAPPA_ZERO, lambda sp, args: fmp_surface(sp.tau, args.theta_param)),
-    "catenoid": (_KAPPA_ZERO, lambda sp, args: catenoid(sp.tau, args.neck, args.r_max)),
+    "catenoid": (_KAPPA_ZERO, lambda sp, args: catenoid(sp.tau, args.neck)),
 }
 
 
@@ -316,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-coef", type=float, default=1.0, help="plane slope in x")
     p.add_argument("--b-coef", type=float, default=0.0, help="plane slope in y")
     p.add_argument("--neck", type=float, default=1.0, help="catenoid neck radius")
-    p.add_argument("--r-max", type=float, default=1e4)
     p.set_defaults(run=cmd_growth)
 
     p = sub.add_parser("collin-krust", help="sup-height sweep M(r) of a graph")
@@ -324,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", default="catenoid")
     p.add_argument("--radii", default="50,75,100,150,200")
     p.add_argument("--neck", type=float, default=1.0)
-    p.add_argument("--r-max", type=float, default=1e4)
     p.add_argument("--theta-param", type=float, default=0.0)
     p.add_argument("--a-coef", type=float, default=1.0)
     p.add_argument("--b-coef", type=float, default=0.0)
@@ -363,11 +365,9 @@ def _apply_config(args, argv):
 
 
 def _check_finite(args) -> None:
-    """Reject nan and infinite float flags; --r-max may be +inf (no truncation)."""
+    """Reject nan and infinite float flags."""
     for key, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
-            if key == "r_max" and value == math.inf:
-                continue
             raise CliError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
 
 

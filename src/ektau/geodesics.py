@@ -452,21 +452,35 @@ def _disk_modulus(kappa: float, p, q) -> float:
     """|phi(q)| for the automorphism phi of the unit disk that takes p to 0.
 
     p and q are points of the conformal model of M^2(kappa), kappa < 0,
-    scaled onto the unit disk; ModelDomainError if either lies outside it.
+    scaled onto the unit disk; ModelDomainError if either lies outside it,
+    or if the modulus rounds to 1, where it no longer tells the distance.
     """
-    s = math.sqrt(-kappa) / 2.0
-    w1 = complex(p.x, p.y) * s
-    w2 = complex(q.x, q.y) * s
-    if abs(w1) >= 1.0 or abs(w2) >= 1.0:
+    w1, w2 = _unit_disk(kappa, p), _unit_disk(kappa, q)
+    modulus = abs((w1 - w2) / (1.0 - w1 * w2.conjugate()))
+    if modulus >= 1.0:
+        raise ModelDomainError(f"{p} and {q} are too far apart for the disk automorphism")
+    return modulus
+
+
+def _unit_disk(kappa: float, p) -> complex:
+    """The base point of p scaled onto the unit disk; ModelDomainError outside it."""
+    w = complex(p.x, p.y) * (math.sqrt(-kappa) / 2.0)
+    if abs(w) >= 1.0:
         raise ModelDomainError("point outside the model disk")
-    return abs((w1 - w2) / (1.0 - w1 * w2.conjugate()))
+    return w
 
 
 def hyperbolic_distance(kappa: float, p, q) -> float:
-    """Distance in M^2(kappa), kappa < 0, in the conformal disk model."""
+    """Distance in M^2(kappa), kappa < 0, in the conformal disk model:
+    2 asinh(|w1 - w2| / sqrt((1 - |w1|^2)(1 - |w2|^2))) / sqrt(-kappa) on the
+    unit disk, each 1 - |w|^2 taken as (1 - |w|)(1 + |w|), which keeps its
+    digits near the rim, where the disk automorphism's modulus rounds to 1."""
     if kappa >= 0.0:
         return math.hypot(q.x - p.x, q.y - p.y)
-    return (1.0 / math.sqrt(-kappa)) * 2.0 * math.atanh(_disk_modulus(kappa, p, q))
+    w1, w2 = _unit_disk(kappa, p), _unit_disk(kappa, q)
+    a1, a2 = abs(w1), abs(w2)
+    gap = math.sqrt((1.0 - a1) * (1.0 + a1) * (1.0 - a2) * (1.0 + a2))
+    return 2.0 * math.asinh(abs(w1 - w2) / gap) / math.sqrt(-kappa)
 
 
 def _nil_reduction_terms(t, tau, rho):

@@ -6,6 +6,12 @@ element W = sqrt(1 + |Gu|^2) and the angle function nu = 1/W; the mean
 curvature is the divergence-form operator H(u) = (1/2) div(Gu/W) computed
 in the base metric.
 
+The base domain is one typed value, BaseDomain: the model annulus
+r_in < r < r_out (a disk for r_in = 0, the whole plane for r_out = inf)
+and an optional vectorized cut.  Areas, the Lemma 4.1/4.2 terms and the
+boundary-circle lengths take their radial limits from the radii and mask
+their integrands with the cut.
+
 Conventions: height callables are vectorized in the model coordinates,
 u(x, y); gradients are coordinate partials (u_x, u_y); 2-vector fields
 (Z, Gu, grad u) are returned in components along the orthonormal frame
@@ -15,7 +21,7 @@ u(x, y); gradients are coordinate partials (u_x, u_y); 2-vector fields
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,44 +73,49 @@ class BoundaryArc:
 
 @dataclass(frozen=True)
 class BaseDomain:
-    """A domain of M^2(kappa) with membership test and boundary arcs.
+    """The part of the model annulus r_in < r < r_out that ``cut`` keeps.
 
-    description is one of 'full-plane', 'disk', 'annulus', 'halfplane' or a
-    free-form tag; 'disk' and 'annulus' carry radii in params for exact
-    quadrature limits.
+    cut(x, y) is an optional vectorized membership test on top of the
+    radii; None keeps the whole annulus.  r_in = 0 means no inner hole (the
+    origin belongs to the domain) and r_out = inf no outer circle.  Every
+    integral and grid over Omega(R) reads the radii as limits and the cut
+    as a mask, so a domain cannot be mistaken for the whole plane.
     """
 
-    membership: object
+    cut: object = None
     arcs: tuple = ()
-    description: str = "full-plane"
-    params: dict = field(default_factory=dict)
+    r_in: float = 0.0
+    r_out: float = math.inf
+
+    def membership(self, x, y):
+        """Whether (x, y) lies in the domain: the radii test, then the cut."""
+        r = np.hypot(x, y)
+        inside = (r < self.r_out) & ((r > self.r_in) | (self.r_in == 0.0))
+        return inside if self.cut is None else inside & self.cut(x, y)
+
+    def masked(self, f):
+        """f, zeroed wherever the cut rejects the point (f itself without a cut)."""
+        if self.cut is None:
+            return f
+        return lambda x, y: np.where(self.cut(x, y), f(x, y), 0.0)
 
     @staticmethod
     def full_plane() -> "BaseDomain":
-        return BaseDomain(lambda x, y: np.full(np.shape(x), True), (), "full-plane")
+        return BaseDomain()
 
     @staticmethod
     def disk(R: float) -> "BaseDomain":
-        def inside(x, y):
-            return np.hypot(x, y) < R
-
-        return BaseDomain(inside, (_circle_arc(R),), "disk", {"R": R})
+        return BaseDomain(arcs=(_circle_arc(R),), r_out=R)
 
     @staticmethod
     def annulus(r_in: float, r_out: float) -> "BaseDomain":
+        """The annulus r_in < r < r_out; r_out = inf leaves only the inner arc."""
         if not (0.0 < r_in < r_out):
             raise ValueError("need 0 < r_in < r_out")
-
-        def inside(x, y):
-            r = np.hypot(x, y)
-            return (r > r_in) & (r < r_out)
-
-        return BaseDomain(
-            inside,
-            (_circle_arc(r_in), _circle_arc(r_out)),
-            "annulus",
-            {"r_in": r_in, "r_out": r_out},
-        )
+        arcs = (_circle_arc(r_in),)
+        if r_out < math.inf:
+            arcs += (_circle_arc(r_out),)
+        return BaseDomain(arcs=arcs, r_in=r_in, r_out=r_out)
 
 
 def _circle_arc(r: float) -> BoundaryArc:
@@ -225,8 +236,9 @@ def mean_curvature(g: GraphSurface, p: BasePoint, step: float = DIV_FD_STEP):
 # Areas and the Lemma functionals
 # ---------------------------------------------------------------------------
 
-def _area_density(g: GraphSurface, mask_fn=None):
-    """Vectorized integrand W * lambda^2 (graph area per model dx dy)."""
+def _area_density(g: GraphSurface):
+    """Vectorized integrand W * lambda^2 (graph area per model dx dy), masked
+    by the domain's cut."""
     sp = g.sp
 
     def f(x, y):
@@ -234,45 +246,27 @@ def _area_density(g: GraphSurface, mask_fn=None):
         g1, g2, mu = _gu_components(sp, x, y, ux, uy)
         W = np.sqrt(1.0 + g1 * g1 + g2 * g2)
         lam = 1.0 / mu
-        out = W * lam * lam
-        if mask_fn is not None:
-            out = np.where(mask_fn(x, y), out, 0.0)
-        return out
+        return W * lam * lam
 
-    return f
+    return g.domain.masked(f)
 
 
 def _quad_limits(g: GraphSurface, r_outer: float):
     """(r_in, r_out) radial quadrature limits for the domain cut at r_outer."""
-    d = g.domain
-    if d.description == "annulus":
-        r_in = d.params["r_in"]
-        r_out = min(d.params["r_out"], r_outer)
-        if r_out <= r_in:
-            raise ValueError("region does not meet the domain")
-        return r_in, r_out
-    if d.description == "disk":
-        return 0.0, min(d.params["R"], r_outer)
-    return 0.0, r_outer
+    r_in, r_out = g.domain.r_in, min(g.domain.r_out, r_outer)
+    if r_out <= r_in:
+        raise ValueError("region does not meet the domain")
+    return r_in, r_out
 
 
-def graph_area(g: GraphSurface, r_outer: float, rel_tol: float = 1e-6,
-               mask_fn=None) -> QuadratureResult:
+def graph_area(g: GraphSurface, r_outer: float, rel_tol: float = 1e-6) -> QuadratureResult:
     """Area of the graph over its domain cut to the model disk r <= r_outer.
 
-    Disk and annulus domains use exact radial limits; other domains mask
-    the integrand with the membership test (accuracy then limited by the
-    indicator).  An extra mask_fn restricts the region further.
+    The domain's radii are the radial limits and its cut masks the
+    integrand (accuracy then limited by the indicator).
     """
     r0, r1 = _quad_limits(g, r_outer)
-    full_mask = mask_fn
-    if g.domain.description not in ("disk", "annulus", "full-plane"):
-        member = g.domain.membership
-        if mask_fn is None:
-            full_mask = member
-        else:
-            full_mask = lambda x, y: member(x, y) & mask_fn(x, y)
-    return integrate_annulus(_area_density(g, full_mask), r0, r1, rel_tol=rel_tol)
+    return integrate_annulus(_area_density(g), r0, r1, rel_tol=rel_tol)
 
 
 def base_disk_area_weighted(g: GraphSurface, R: float, with_z: bool,
@@ -289,7 +283,7 @@ def base_disk_area_weighted(g: GraphSurface, R: float, with_z: bool,
             out = out * sp.tau * np.hypot(x, y)
         return out
 
-    return integrate_annulus(f, r0, r1, rel_tol=rel_tol).value
+    return integrate_annulus(g.domain.masked(f), r0, r1, rel_tol=rel_tol).value
 
 
 def _arc_samples(arc: BoundaryArc, n: int = 4096):
@@ -316,19 +310,16 @@ def _arc_length_inside(sp: SpaceParams, arc: BoundaryArc, model_r: float,
 
 
 def _theta_length(g: GraphSurface, R: float) -> float:
-    """Length of the part of the circle of intrinsic radius R inside Omega."""
+    """Length of the part of the circle of intrinsic radius R inside Omega:
+    the radii decide whether the circle meets Omega at all, and the fraction
+    of midpoint angles the cut keeps scales it."""
     sp = g.sp
     re = base_disk_model_radius(sp, R)
     d = g.domain
-    if d.description == "full-plane":
-        frac = 1.0
-    elif d.description == "disk":
-        frac = 1.0 if re <= d.params["R"] else 0.0
-    elif d.description == "annulus":
-        frac = 1.0 if d.params["r_in"] < re <= d.params["r_out"] else 0.0
-    else:
-        ang = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        frac = float(np.mean(d.membership(re * np.cos(ang), re * np.sin(ang))))
+    frac = 1.0 if d.r_in < re <= d.r_out else 0.0
+    if frac and d.cut is not None:
+        ang = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
+        frac = float(np.mean(d.cut(re * np.cos(ang), re * np.sin(ang))))
     return frac * base_circle_length(sp, R)
 
 

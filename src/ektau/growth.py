@@ -186,7 +186,8 @@ def _intrinsic_distances(g: GraphSurface, L: float, n: int, limit: float = np.in
     one row per grid node, in node order, holding its 32 edges in ``_STEPS``
     order.  A neighbour off the grid becomes an inf-weight self-loop, so the
     graph has exactly n^2 nodes.  Nodes outside the model disk (grid corners
-    for kappa < 0) get no metric and, as the halo does, inf step lengths.
+    for kappa < 0) or outside the domain get no metric and, as the halo
+    does, inf step lengths.
     Dijkstra stops at ``limit``: distances up to it are exactly those of the
     unlimited solve, and every farther node reads inf.  Returns (distance
     field, area weight field, cell area).
@@ -194,7 +195,7 @@ def _intrinsic_distances(g: GraphSurface, L: float, n: int, limit: float = np.in
     xs = np.linspace(-L, L, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    inside = X * X + Y * Y < g.sp.model_radius**2
+    inside = (X * X + Y * Y < g.sp.model_radius**2) & g.domain.membership(X, Y)
     E, F, G = np.zeros((3, n, n))
     E[inside], F[inside], G[inside] = _induced_metric(g, X[inside], Y[inside])
 
@@ -272,11 +273,11 @@ def _over_base_disk(g, fam: RegionFamily) -> bool:
     """Whether the family's region of size R cuts the graph over a base disk.
 
     Cylinders always do; ExampleSurface inputs also say so by their
-    structural flag (umbrellas intersect B_R exactly in the graph over D_R,
-    so all families agree there).
+    extrinsic_equals_base_disk field (umbrellas intersect B_R exactly in
+    the graph over D_R, so all families agree there).
     """
-    flags = g.flags if isinstance(g, ExampleSurface) else {}
-    return fam.tag == "cylinder" or bool(flags.get("extrinsic_equals_base_disk"))
+    return fam.tag == "cylinder" or (
+        isinstance(g, ExampleSurface) and g.extrinsic_equals_base_disk)
 
 
 def region_area(g, fam: RegionFamily, R: float) -> float:
@@ -348,9 +349,10 @@ def calibration_check(g: GraphSurface):
     minimizes area in its vertical-translation class, so the margin is
     nonnegative up to quadrature error, vanishing only for constant u.
     """
-    if g.domain.description != "disk":
+    d = g.domain
+    if not (d.r_in == 0.0 and d.r_out < math.inf and d.cut is None):
         raise HypothesisViolationError("calibration compares graphs over a disk")
-    R = g.domain.params["R"]
+    R = d.r_out
     area_g = graph_area(g, R).value
     area_u = graph_area(replace(umbrella(g.sp).graph, domain=g.domain), R).value
     return area_g, area_u, area_g - area_u
@@ -372,8 +374,8 @@ def collin_krust_sweep(g: GraphSurface, radii, n_grid: int = 512,
 
     Requires zero boundary values on the finite-value arcs and a
     non-constant u; the linear liminf is taken over the upper half of the
-    radii (and M(r)/r^2 is reported when the domain is an annulus, whose
-    circle cut has bounded length).
+    radii (and M(r)/r^2 is reported when the domain is an uncut annulus
+    r > r_in > 0, whose circle cut has bounded length).
     """
     radii = np.asarray(radii, dtype=float)
     for arc in g.domain.arcs:
@@ -396,7 +398,7 @@ def collin_krust_sweep(g: GraphSurface, radii, n_grid: int = 512,
     upper = radii >= 0.5 * r_max
     liminf_lin = float(np.min(M[upper] / radii[upper]))
     liminf_quad = None
-    if g.domain.description == "annulus":
+    if g.domain.r_in > 0.0 and g.domain.cut is None:
         liminf_quad = float(np.min(M[upper] / radii[upper] ** 2))
     return CollinKrustSweep(radii, M, liminf_lin, liminf_quad)
 
@@ -438,7 +440,7 @@ def table1_suite(selection=None) -> list[GrowthReport]:
             {"model": "power", "value": 3.0, "comparison": "at_least"},
         ),
         "catenoid-extrinsic": lambda: _row(
-            catenoid(1.0, 1.0, 1e4), "extrinsic",
+            catenoid(1.0, 1.0), "extrinsic",
             [2, 3, 4.5, 6.75, 10, 15],
             {"model": "power", "value": 3.0, "comparison": "at_most"},
         ),

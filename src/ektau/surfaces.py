@@ -40,15 +40,15 @@ class ExampleSurface:
     """A named graph surface with closed-form reference quantities.
 
     closed_forms maps quantity names to callables of the radius;
-    flags carries structural facts (e.g. whether the intersection with the
-    ambient ball is exactly the graph over the base disk).
+    extrinsic_equals_base_disk says that the intersection with the ambient
+    ball B_R(0) is exactly the graph over the base disk D_R.
     """
 
     name: str
     graph: GraphSurface
     closed_forms: dict = field(default_factory=dict)
     minimal: bool = True
-    flags: dict = field(default_factory=dict)
+    extrinsic_equals_base_disk: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def umbrella(sp: SpaceParams) -> ExampleSurface:
     """The horizontal umbrella u = 0 over the full base plane.
 
     Its intersection with B_R(0) is exactly the graph over the base disk
-    D_R (flag extrinsic_equals_base_disk), so intrinsic, extrinsic and
+    D_R (extrinsic_equals_base_disk), so intrinsic, extrinsic and
     cylindrical areas coincide.
     """
     g = GraphSurface(
@@ -96,9 +96,7 @@ def umbrella(sp: SpaceParams) -> ExampleSurface:
             * math.sqrt(4.0 * sp.tau**2 - sp.kappa)
             / (-sp.kappa * math.sqrt(-sp.kappa))
         )
-    return ExampleSurface(
-        "umbrella", g, forms, minimal=True, flags={"extrinsic_equals_base_disk": True}
-    )
+    return ExampleSurface("umbrella", g, forms, minimal=True, extrinsic_equals_base_disk=True)
 
 
 def affine_plane(tau: float, a: float, b: float) -> ExampleSurface:
@@ -156,13 +154,7 @@ def fmp_surface(tau: float, theta: float) -> ExampleSurface:
         ) / (3.0 * tau**2)
 
     g = GraphSurface(sp, BaseDomain.full_plane(), u, grad, hess)
-    return ExampleSurface(
-        "fmp",
-        g,
-        {"intrinsic_area_lower_bound": lower_bound},
-        minimal=True,
-        flags={"theta": theta},
-    )
+    return ExampleSurface("fmp", g, {"intrinsic_area_lower_bound": lower_bound}, minimal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +179,14 @@ def catenoid_height(tau: float, E: float, r) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def catenoid(tau: float, E: float, r_max: float) -> ExampleSurface:
-    """Upper half of the Nil3(tau) catenoid as a graph over an annulus.
+def catenoid(tau: float, E: float) -> ExampleSurface:
+    """Upper half of the Nil3(tau) catenoid as a graph over the annulus r > E.
 
-    The graph takes the boundary value 0 on the inner circle r = E and is
-    defined for r in (E, r_max); the height grows linearly with slope
-    approaching E tau.
+    The graph takes the boundary value 0 on the inner circle r = E, its only
+    boundary arc; the height grows linearly with slope approaching E tau.
     """
     if E <= 0.0:
         raise ValueError("E must be positive")
-    if r_max <= E:
-        raise ValueError("r_max must exceed E")
     sp = SpaceParams(0.0, tau)
 
     def u(x, y):
@@ -225,17 +214,12 @@ def catenoid(tau: float, E: float, r_max: float) -> ExampleSurface:
         uyy = urr * s * s + ur * c * c / r
         return uxx, uxy, uyy
 
-    # the domain is conceptually r > E; r_max only truncates quadrature, so
-    # the outer circle is not a value boundary and carries no arc
-    full = BaseDomain.annulus(E, r_max)
-    domain = BaseDomain(full.membership, full.arcs[:1], "annulus", full.params)
-    g = GraphSurface(sp, domain, u, grad, hess)
+    g = GraphSurface(sp, BaseDomain.annulus(E, math.inf), u, grad, hess)
     return ExampleSurface(
         "catenoid",
         g,
         {"height": lambda r: catenoid_height(tau, E, r), "slope_limit": E * tau},
         minimal=True,
-        flags={"E": E, "r_max": r_max},
     )
 
 

@@ -272,7 +272,7 @@ def test_criterion_05_minimality():
         worst = max(worst, grid_max(affine_plane(1.0, a, b).graph, lin, lin))
     for theta in (-1.0, 0.0, 1.0):
         worst = max(worst, grid_max(fmp_surface(1.0, theta).graph, lin, lin))
-    cat = catenoid(1.0, 1.0, 1e4).graph
+    cat = catenoid(1.0, 1.0).graph
     rs = np.linspace(1.5, 8.0, 50)
     X = np.concatenate([rs, -rs[:25], np.zeros(25)])
     Y = np.concatenate([np.zeros(50), rs[:25], rs[:25]])
@@ -305,7 +305,7 @@ def test_criterion_06_catenoid():
     for E, tau in ((1.0, 1.0), (2.0, 0.5)):
         r = 100.0 * E
         slope_err = max(slope_err, abs(catenoid_height(tau, E, r) / r / (E * tau) - 1.0))
-        surf = catenoid(tau, E, 1e4)
+        surf = catenoid(tau, E)
         sweep = collin_krust_sweep(surf.graph, np.linspace(50.0 * E, 200.0 * E, 7))
         liminfs.append(sweep.liminf_linear)
         liminf_ok &= sweep.liminf_linear > 0.5 * E * tau
@@ -348,7 +348,7 @@ def test_criterion_08_lemma_bounds():
         "umbrella": umbrella(SpaceParams(0.0, 1.0)),
         "plane": affine_plane(1.0, 1.0, 0.5),
         "fmp": fmp_surface(1.0, 0.0),
-        "catenoid": catenoid(1.0, 1.0, 1e4),
+        "catenoid": catenoid(1.0, 1.0),
     }
     ok = True
     worst = math.inf

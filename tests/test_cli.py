@@ -423,9 +423,9 @@ _FLAGS = {
     "growth": {"--example": st.sampled_from(["umbrella", "plane", "fmp", "catenoid", "scherk"]),
                "--family": st.sampled_from(["extrinsic", "intrinsic", "cylinder", "ball"]),
                "--radii": _RADII, "--theta-param": _NUMBER, "--a-coef": _NUMBER,
-               "--b-coef": _NUMBER, "--neck": _NUMBER, "--r-max": _NUMBER},
+               "--b-coef": _NUMBER, "--neck": _NUMBER},
     "collin-krust": {"--example": st.sampled_from(["umbrella", "plane", "fmp", "catenoid"]),
-                     "--radii": _RADII, "--neck": _NUMBER, "--r-max": _NUMBER,
+                     "--radii": _RADII, "--neck": _NUMBER,
                      "--theta-param": _NUMBER, "--a-coef": _NUMBER, "--b-coef": _NUMBER},
 }
 # flags whose default work size exceeds the caps are always given

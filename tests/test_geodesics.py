@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ektau.core import FrameVector, PointE, SpaceParams, coord_to_frame
 import ektau.geodesics
+from ektau.balls import BallSpec, in_ball
 from ektau.errors import ConvergenceError, ModelDomainError, UnsupportedSpaceError
 from ektau.geodesics import (
     GeodesicSpec,
@@ -299,6 +300,22 @@ class TestDistance:
         q = PointE(0.8, 0.0, 2.0)
         dh = hyperbolic_distance(-1.0, p.base(), q.base())
         assert math.isclose(distance(sp, p, q), math.hypot(dh, 2.0), rel_tol=1e-14)
+
+    def test_points_near_the_rim(self):
+        # w = +-0.9999999999999998 on the unit disk: the disk automorphism's
+        # modulus rounds to 1, while 2 log((1 + w)/(1 - w)) is the distance
+        sp = SpaceParams(-1.0, 0.0)
+        p, q = PointE(1.9999999999999996, 0.0, 0.0), PointE(-1.9999999999999996, 0.0, 0.0)
+        w = 0.5 * p.x
+        exact = 2.0 * math.log((1.0 + w) / (1.0 - w))
+        assert math.isclose(hyperbolic_distance(-1.0, p, q), exact, rel_tol=1e-12)
+        assert math.isclose(exact, 73.4736, rel_tol=1e-6)
+        with pytest.raises(ModelDomainError):
+            to_origin(sp, p, q)
+        with pytest.raises(ModelDomainError):
+            distance(sp, p, q)
+        with pytest.raises(ModelDomainError):
+            in_ball(BallSpec(sp, p, 80.0), q)
 
     def test_sl2_distance_unsupported(self):
         sp = SpaceParams(-1.0, 1.0)

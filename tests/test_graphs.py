@@ -1,6 +1,7 @@
 """Tests for vertical graphs: fields, mean curvature, areas, identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ def _quadratic_graph(sp):
             np.full(np.shape(x), 1.0),
         ),
     )
+
+
+def _quadrant(g):
+    """g restricted to the open quadrant x > 0, y > 0."""
+    return replace(g, domain=BaseDomain(lambda x, y: (x > 0.0) & (y > 0.0)))
 
 
 class TestFields:
@@ -175,6 +181,21 @@ class TestAreas:
                             area, rel_tol=1e-7)
         assert math.isclose(base_disk_area_weighted(g, R, with_z=True),
                             z_int, rel_tol=1e-7)
+
+
+    @pytest.mark.parametrize("R", [2.0, 4.0, 8.0])
+    def test_quadrant_is_a_quarter_of_the_plane(self, R):
+        # the reflections in the axes (with z -> -z) carry u = tau x y to
+        # itself, so each quadrant holds a quarter of every area
+        g = fmp_surface(1.0, 0.0).graph
+        q = _quadrant(g)
+        assert math.isclose(graph_area(q, R).value, 0.25 * graph_area(g, R).value,
+                            rel_tol=1e-12)
+        for with_z in (False, True):
+            assert math.isclose(base_disk_area_weighted(q, R, with_z),
+                                0.25 * base_disk_area_weighted(g, R, with_z), rel_tol=1e-12)
+        assert math.isclose(lemma41_bound(q, R).area_term, math.pi * R * R / 4.0,
+                            rel_tol=1e-12)
 
 
 class TestLemmaBounds:

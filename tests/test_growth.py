@@ -1,6 +1,7 @@
 """Tests for the area-growth harness: regions, fits, verdicts, sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ektau.core import SpaceParams, base_disk_model_radius
 from ektau.balls import ball_membership, volume_growth_fit
 from ektau.errors import ConvergenceError, HypothesisViolationError, UnsupportedSpaceError
 from ektau.geodesics import ball_distance
-from ektau.graphs import BaseDomain, GraphSurface, _quad_limits
+from ektau.graphs import BaseDomain, GraphSurface, _quad_limits, graph_area
 from ektau.growth import (
     RegionFamily,
     _extrinsic_area,
@@ -124,6 +125,23 @@ class TestRegionFamilies:
         finest = [np.sum(area_w[dist <= R]) * cell for R in (1.0, 2.0)]
         assert np.array_equal(info.value.best, finest)
 
+    @pytest.mark.parametrize("R", [2.0, 4.0, 8.0])
+    def test_quadrant_extrinsic_area_is_a_quarter(self, R):
+        # the reflections in the axes (with z -> -z) are isometries of Nil3
+        # carrying u = tau x y to itself and B_R(0) to itself
+        g = fmp_surface(1.0, 0.0).graph
+        q = replace(g, domain=BaseDomain(lambda x, y: (x > 0.0) & (y > 0.0)))
+        assert math.isclose(_extrinsic_area(q, R), 0.25 * _extrinsic_area(g, R),
+                            rel_tol=1e-12)
+
+    def test_intrinsic_table_stays_in_the_domain(self):
+        # the radial segments of u = 0 are unit-speed geodesics, so the
+        # surface ball of radius 3 holds the whole graph over D(2)
+        g = GraphSurface(SpaceParams(0.0, 1.0), BaseDomain.disk(2.0),
+                         lambda x, y: np.zeros(np.shape(x)))
+        (area,) = intrinsic_area_table(g, [3.0])
+        assert math.isclose(area, graph_area(g, 2.0).value, rel_tol=0.01)
+
     def test_extrinsic_area_rejects_sl2(self):
         # u = x is no umbrella, so the ambient-ball path runs and needs a distance
         sp = SpaceParams(-1.0, 1.0)
@@ -190,7 +208,7 @@ class TestRegionFamilies:
         ("umbrella", "intrinsic_ball"), ("umbrella", "extrinsic_ball"),
     ])
     def test_region_areas_match_region_area(self, surface, tag, monkeypatch):
-        surf = {"fmp": fmp_surface(1.0, 0.0), "catenoid": catenoid(1.0, 1.0, 1e4),
+        surf = {"fmp": fmp_surface(1.0, 0.0), "catenoid": catenoid(1.0, 1.0),
                 "umbrella": umbrella(SpaceParams(0.0, 1.0))}[surface]
         fam = RegionFamily(tag)
         radii = [3.0, 2.0, 4.0]
@@ -221,7 +239,7 @@ class TestRayStops:
     @pytest.mark.parametrize("surface", ["catenoid", "fmp", "plane", "h2xr-tilted"])
     def test_match_bisection_oracle(self, surface, R):
         g = _tilted_product_graph() if surface == "h2xr-tilted" else {
-            "catenoid": catenoid(1.0, 1.0, 1e4), "fmp": fmp_surface(1.0, 0.0),
+            "catenoid": catenoid(1.0, 1.0), "fmp": fmp_surface(1.0, 0.0),
             "plane": affine_plane(1.0, 1.0, 0.5)}[surface].graph
         r_lo, r_cap = _quad_limits(g, base_disk_model_radius(g.sp, R))
         theta = (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
@@ -345,7 +363,7 @@ class TestCalibration:
 
 class TestCollinKrust:
     def test_catenoid_linear_growth(self):
-        surf = catenoid(1.0, 1.0, 1e4)
+        surf = catenoid(1.0, 1.0)
         radii = np.linspace(50.0, 200.0, 7)
         sweep = collin_krust_sweep(surf.graph, radii)
         assert np.all(np.diff(sweep.M) >= 0.0)
@@ -376,9 +394,7 @@ class TestCollinKrust:
 
         from ektau.graphs import BoundaryArc
 
-        domain = BaseDomain(
-            lambda x, y: np.asarray(y) > 0.0, (BoundaryArc(edge),), "halfplane"
-        )
+        domain = BaseDomain(lambda x, y: np.asarray(y) > 0.0, (BoundaryArc(edge),))
         g = GraphSurface(sp, domain, lambda x, y: np.where(y > 0.0, a * y, 0.0))
         sweep = collin_krust_sweep(g, [2.0, 4.0, 6.0, 8.0])
         assert abs(sweep.liminf_linear - a) < 0.02

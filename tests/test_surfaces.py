@@ -41,7 +41,7 @@ class TestUmbrella:
     def test_flags_and_minimality(self):
         surf = umbrella(SpaceParams(0.0, 1.0))
         assert surf.minimal
-        assert surf.flags["extrinsic_equals_base_disk"]
+        assert surf.extrinsic_equals_base_disk
 
     def test_hyperbolic_leading_coefficient(self):
         # area(R) ~ coeff * exp(sqrt(-kappa) R) as R grows
@@ -140,12 +140,12 @@ class TestCatenoid:
         assert abs(slope / (E * tau) - 1.0) < 0.05
 
     def test_graph_is_minimal_away_from_neck(self):
-        surf = catenoid(1.0, 1.0, 100.0)
+        surf = catenoid(1.0, 1.0)
         for r in (1.5, 3.0, 10.0):
             assert abs(mean_curvature(surf.graph, BasePoint(r, 0.0))) < 1e-9
 
     def test_domain_has_only_inner_boundary(self):
-        surf = catenoid(1.0, 1.0, 100.0)
+        surf = catenoid(1.0, 1.0)
         arcs = surf.graph.domain.arcs
         assert len(arcs) == 1
         x, y = arcs[0].curve(np.array([0.0, 0.25]))
@@ -153,14 +153,12 @@ class TestCatenoid:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            catenoid(1.0, -1.0, 10.0)
-        with pytest.raises(ValueError):
-            catenoid(1.0, 2.0, 1.0)
+            catenoid(1.0, -1.0)
         with pytest.raises(ValueError):
             catenoid_height(1.0, 2.0, 1.0)
 
     def test_truncated_area_finite(self):
-        surf = catenoid(1.0, 1.0, 50.0)
+        surf = catenoid(1.0, 1.0)
         area = graph_area(surf.graph, 10.0).value
         assert 0.0 < area < 1e4
 
