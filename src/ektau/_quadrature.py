@@ -5,6 +5,8 @@ and annuli use Gauss-Legendre in the radius and a uniform (spectrally
 accurate, periodic) rule in the angle; the refinement loop doubles the
 resolution until two consecutive levels agree to the requested relative
 tolerance and reports the last inter-level difference as the error estimate.
+A level evaluates trigonometric functions once per angle and forms the
+nodes' coordinates as radius-by-angle products.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _annulus_level(f, r0, r1, n_r, n_theta):
+    """One tensor-product level: n_r Gauss-Legendre radii, n_theta angles.
+
+    f receives (angles, radii) grids, in chunks of at most _CHUNK_POINTS
+    points; cos and sin are taken once per angle, not once per node.
+    """
     nodes, weights = leggauss(n_r)
     s = 0.5 * (nodes + 1.0)
     ws = 0.5 * weights
@@ -65,11 +72,12 @@ def _annulus_level(f, r0, r1, n_r, n_theta):
     # where a domain cut such as a quadrant's edge would put it
     wt = 2.0 * math.pi / n_theta
     theta = (np.arange(n_theta) + 0.5) * wt
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     total = 0.0
     step = max(1, _CHUNK_POINTS // n_r)
     for i in range(0, n_theta, step):
-        T, R = np.meshgrid(theta[i : i + step], r, indexing="ij")
-        vals = f(R * np.cos(T), R * np.sin(T)) * R
+        x, y = r * cos_t[i : i + step, None], r * sin_t[i : i + step, None]
+        vals = f(x, y) * r
         total += float(np.sum(vals * wr[None, :]))
     return total * wt
 

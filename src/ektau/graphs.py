@@ -252,29 +252,33 @@ def _area_density(g: GraphSurface):
 
 
 def _quad_limits(g: GraphSurface, r_outer: float):
-    """(r_in, r_out) radial quadrature limits for the domain cut at r_outer."""
-    r_in, r_out = g.domain.r_in, min(g.domain.r_out, r_outer)
-    if r_out <= r_in:
-        raise ValueError("region does not meet the domain")
-    return r_in, r_out
+    """(r_in, r_out) radial quadrature limits for the domain cut at r_outer;
+    r_out <= r_in when the disk r <= r_outer misses the domain."""
+    return g.domain.r_in, min(g.domain.r_out, r_outer)
 
 
 def graph_area(g: GraphSurface, r_outer: float, rel_tol: float = 1e-6) -> QuadratureResult:
     """Area of the graph over its domain cut to the model disk r <= r_outer.
 
     The domain's radii are the radial limits and its cut masks the
-    integrand (accuracy then limited by the indicator).
+    integrand (accuracy then limited by the indicator).  A disk that misses
+    the domain (r_outer <= r_in) has area 0, with no quadrature level.
     """
     r0, r1 = _quad_limits(g, r_outer)
+    if r1 <= r0:
+        return QuadratureResult(0.0, 0.0, 0)
     return integrate_annulus(_area_density(g), r0, r1, rel_tol=rel_tol)
 
 
 def base_disk_area_weighted(g: GraphSurface, R: float, with_z: bool,
                             rel_tol: float = 1e-6) -> float:
-    """integral over Omega(R) of 1 (base area) or of |Z|, in the base metric."""
+    """integral over Omega(R) of 1 (base area) or of |Z|, in the base metric;
+    0 when Omega(R) is empty."""
     sp = g.sp
     re = base_disk_model_radius(sp, R)
     r0, r1 = _quad_limits(g, re)
+    if r1 <= r0:
+        return 0.0
 
     def f(x, y):
         lam = 1.0 / _mu(sp, x, y)

@@ -137,11 +137,14 @@ def _extrinsic_area(g: GraphSurface, R: float, n_theta: int = 256,
 
     Each ray is cut where the ambient distance of the graph point,
     ``geodesics.ball_distance``, reaches R (``_ray_stop``), and the area density
-    is integrated up to there by Gauss-Legendre in r.
+    is integrated up to there by Gauss-Legendre in r.  The ball projects
+    into the base disk D_R, so a domain that D_R misses gives area 0.
     """
     dist = lambda x, y: ball_distance(g.sp, np.hypot(x, y), g.u(x, y))
     re = base_disk_model_radius(g.sp, R)
     r_lo, r_cap = _quad_limits(g, re)
+    if r_cap <= r_lo:
+        return 0.0
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     eps = r_lo + 1e-9 * max(r_cap, 1.0)
     stop = _ray_stop(dist, theta, eps, r_cap, R)
@@ -384,12 +387,13 @@ def collin_krust_sweep(g: GraphSurface, radii, n_grid: int = 512,
         if arc.kind == "finite" and np.max(np.abs(g.u(bx, by))) > boundary_tol:
             raise HypothesisViolationError("nonzero boundary values on a finite arc")
     r_max = float(np.max(radii))
-    r_lo, _ = _quad_limits(g, r_max)
+    r_lo, r_hi = _quad_limits(g, r_max)
+    if r_hi <= r_lo:
+        raise ValueError("region does not meet the domain")
     rs = np.linspace(r_lo + 1e-9, r_max, n_grid)
     th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    Rg, Tg = np.meshgrid(rs, th, indexing="ij")
-    vals = np.abs(g.u(Rg * np.cos(Tg), Rg * np.sin(Tg)))
-    vals = np.where(g.domain.membership(Rg * np.cos(Tg), Rg * np.sin(Tg)), vals, 0.0)
+    x, y = rs[:, None] * np.cos(th), rs[:, None] * np.sin(th)
+    vals = np.where(g.domain.membership(x, y), np.abs(g.u(x, y)), 0.0)
     # running[i] is the sup over the first i sample circles (0 over none)
     running = np.concatenate(([0.0], np.maximum.accumulate(np.max(vals, axis=1))))
     M = running[np.searchsorted(rs, radii, side="right")]

@@ -167,15 +167,21 @@ def catenoid_height(tau: float, E: float, r) -> np.ndarray:
     h(r) = int_E^r E sqrt(1+tau^2 s^2)/sqrt(s^2-E^2) ds; the endpoint
     singularity is removed by s = E cosh(w), giving a smooth integrand
     E sqrt(1 + tau^2 E^2 cosh^2 w) over w in [0, arccosh(r/E)].
+    The quadrature runs once per distinct radius (grids of points on a few
+    circles repeat their radii) and is indexed back to the shape of r; a
+    scalar r gives a float.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < E * (1.0 - 1e-6)):
         raise ValueError("r must be >= E")
-    wmax = np.arccosh(np.maximum(r / E, 1.0))
+    # the inverse is raveled: its shape differs between numpy 1.x and 2.x
+    radii, inverse = np.unique(r.ravel(), return_inverse=True)
+    wmax = np.arccosh(np.maximum(radii / E, 1.0))
     nodes, weights = leggauss(HEIGHT_QUAD_ORDER)
-    w = 0.5 * wmax[..., None] * (nodes + 1.0)
+    w = 0.5 * wmax[:, None] * (nodes + 1.0)
     integrand = E * np.sqrt(1.0 + (tau * E * np.cosh(w)) ** 2)
-    out = 0.5 * wmax * np.sum(weights * integrand, axis=-1)
+    heights = 0.5 * wmax * np.sum(weights * integrand, axis=-1)
+    out = heights[inverse.ravel()].reshape(r.shape)
     return out if out.ndim else float(out)
 
 

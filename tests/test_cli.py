@@ -203,6 +203,22 @@ class TestGrowth:
         code, _, _ = run_cli(capsys, "growth", "--example", "torus")
         assert code == EXIT_USAGE
 
+    def test_catenoid_defaults_read_0_inside_the_neck(self, capsys):
+        # the defaults --radii 1,2,4 --neck 1 start at R = E, where the
+        # extrinsic ball does not meet the graph
+        code, out, err = run_cli(capsys, "growth", "--example", "catenoid")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert lines[:2] == ["R,area", "1.0,0.0"]
+        assert all(float(line.split(",")[1]) > 0.0 for line in lines[2:])
+
+    def test_fit_over_an_empty_region_exits_2(self, capsys):
+        # six radii ask for a fit, which needs positive areas
+        code, out, err = run_cli(capsys, "growth", "--example", "catenoid",
+                                 "--radii", "1,2,3,4,5,6")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
     def test_intrinsic_balls_off_the_domain_exit_3_before_any_solve(
             self, capsys, monkeypatch):
         # the catenoid's domain is an annulus: no surface point lies over the

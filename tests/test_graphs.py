@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ektau import _quadrature
 from ektau.core import BasePoint, SpaceParams, base_disk_model_radius
 from ektau.errors import HypothesisViolationError, ModelDomainError
 from ektau.graphs import (
     BaseDomain,
     BoundaryArc,
     GraphSurface,
+    _area_density,
     base_disk_area_weighted,
     calabi_lee_check,
     factorization_identity_residual,
@@ -25,7 +27,7 @@ from ektau.graphs import (
     mean_curvature,
     z_field,
 )
-from ektau.surfaces import affine_plane, fmp_surface, umbrella
+from ektau.surfaces import affine_plane, catenoid, fmp_surface, umbrella
 
 
 def _quadratic_graph(sp):
@@ -45,6 +47,30 @@ def _quadratic_graph(sp):
 def _quadrant(g):
     """g restricted to the open quadrant x > 0, y > 0."""
     return replace(g, domain=BaseDomain(lambda x, y: (x > 0.0) & (y > 0.0)))
+
+
+def _meshgrid_level(f, r0, r1, n_r, n_theta):
+    """One annulus level with a meshgrid and trig at every node: the form
+    _quadrature._annulus_level replaces, kept as its bit-for-bit oracle."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    s = 0.5 * (nodes + 1.0)
+    ws = 0.5 * weights
+    if r0 > 0.0:
+        h = r1 - r0
+        r = r0 + h * s * s
+        wr = ws * 2.0 * h * s
+    else:
+        r = r1 * s
+        wr = ws * r1
+    wt = 2.0 * math.pi / n_theta
+    theta = (np.arange(n_theta) + 0.5) * wt
+    total = 0.0
+    step = max(1, _quadrature._CHUNK_POINTS // n_r)
+    for i in range(0, n_theta, step):
+        T, R = np.meshgrid(theta[i : i + step], r, indexing="ij")
+        vals = f(R * np.cos(T), R * np.sin(T)) * R
+        total += float(np.sum(vals * wr[None, :]))
+    return total * wt
 
 
 class TestFields:
@@ -196,6 +222,36 @@ class TestAreas:
                                 0.25 * base_disk_area_weighted(g, R, with_z), rel_tol=1e-12)
         assert math.isclose(lemma41_bound(q, R).area_term, math.pi * R * R / 4.0,
                             rel_tol=1e-12)
+
+
+class TestAnnulusLevel:
+    """_annulus_level takes cos and sin once per angle; every level must
+    equal the per-node meshgrid form exactly."""
+
+    @staticmethod
+    def _cases():
+        hyp = umbrella(SpaceParams(-1.0, 1.0)).graph
+        return {
+            # not rotational
+            "fmp": (_area_density(fmp_surface(1.0, 0.7).graph), 0.0, 5.0),
+            # u = tau x y with the quadrant cut masking the integrand
+            "quadrant": (_area_density(_quadrant(fmp_surface(1.0, 0.0).graph)), 0.0, 4.0),
+            # r0 > 0: the r = r0 + (r1 - r0) s^2 substitution
+            "catenoid": (_area_density(catenoid(1.0, 1.0).graph), 1.0, 10.0),
+            "umbrella-hyperbolic": (_area_density(hyp), 0.0,
+                                    base_disk_model_radius(hyp.sp, 6.0)),
+        }
+
+    @pytest.mark.parametrize("case", ["fmp", "quadrant", "catenoid", "umbrella-hyperbolic"])
+    @pytest.mark.parametrize("chunk", [None, 1000])
+    def test_matches_meshgrid_form(self, case, chunk, monkeypatch):
+        # chunk = 1000 splits every level into several angle blocks
+        if chunk is not None:
+            monkeypatch.setattr(_quadrature, "_CHUNK_POINTS", chunk)
+        f, r0, r1 = self._cases()[case]
+        for n_r in (32, 64, 128):
+            got = _quadrature._annulus_level(f, r0, r1, n_r, 2 * n_r)
+            assert got == _meshgrid_level(f, r0, r1, n_r, 2 * n_r)
 
 
 class TestLemmaBounds:

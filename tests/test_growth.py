@@ -142,6 +142,12 @@ class TestRegionFamilies:
         (area,) = intrinsic_area_table(g, [3.0])
         assert math.isclose(area, graph_area(g, 2.0).value, rel_tol=0.01)
 
+    @pytest.mark.parametrize("tag", ["cylinder", "extrinsic_ball"])
+    @pytest.mark.parametrize("R", [0.5, 1.0])
+    def test_region_inside_the_neck_has_area_0(self, tag, R):
+        # the catenoid with neck 1 lies over r > 1: D_R and B_R(0) miss it
+        assert region_area(catenoid(1.0, 1.0), RegionFamily(tag), R) == 0.0
+
     def test_extrinsic_area_rejects_sl2(self):
         # u = x is no umbrella, so the ambient-ball path runs and needs a distance
         sp = SpaceParams(-1.0, 1.0)
@@ -423,3 +429,38 @@ class TestTableSuite:
         assert grid_sizes == sorted(set(grid_sizes))
         lb = fmp_surface(1.0, 0.0).closed_forms["intrinsic_area_lower_bound"]
         assert all(area >= lb(R) for R, area, _ in rep.samples)
+
+
+class TestGoldenRows:
+    """The six areas of every table1_suite row and the default Collin-Krust
+    M(r), pinned to relative 1e-12: a kernel rewrite that claims to leave the
+    growth table alone must reproduce them."""
+
+    @pytest.mark.parametrize("name,areas", [
+        ("umbrella-nil", [21.32165400107589, 64.13619333624744, 203.06764794764382,
+                          663.351957189087, 2123.795043231779, 7113.665286435447]),
+        ("umbrella-hyperbolic", [105.61029641496573, 337.01770063191606,
+                                 984.8857472398115, 2765.111137494798,
+                                 7623.513792371762, 20849.3106279354]),
+        ("fmp-intrinsic", [117.84550774424523, 215.75809204828076, 446.08909826012666,
+                           800.4975172181618, 1512.6194318775126, 2557.1280868377053]),
+        ("entire-cylinder-lower", [285.1634110863714, 919.7209250978759,
+                                   2841.669930670385, 10374.434739882967,
+                                   32850.44231445377, 134243.3869424706]),
+        ("catenoid-extrinsic", [15.45114491225951, 48.418252347070236,
+                                173.10027991067287, 615.5000046394451,
+                                2053.0688062237523, 7009.859114963122]),
+    ])
+    def test_table_row(self, name, areas):
+        (rep,) = table1_suite([name])
+        got = [a for _, a, _ in rep.samples]
+        assert len(got) == len(areas)
+        for a, pinned in zip(got, areas):
+            assert math.isclose(a, pinned, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_default_collin_krust(self):
+        sweep = collin_krust_sweep(catenoid(1.0, 1.0).graph, [50, 75, 100, 150, 200])
+        pinned = [50.37088876114978, 75.69079575144309, 100.61780134323809,
+                  150.46849079642365, 200.70695863894233]
+        for m, p in zip(sweep.M, pinned):
+            assert math.isclose(float(m), p, rel_tol=1e-12, abs_tol=0.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ektau._quadrature import leggauss
 from ektau.core import BasePoint, SpaceParams
 from ektau.errors import HypothesisViolationError
 from ektau.graphs import graph_area, mean_curvature
@@ -150,6 +151,38 @@ class TestCatenoid:
         assert len(arcs) == 1
         x, y = arcs[0].curve(np.array([0.0, 0.25]))
         assert np.allclose(np.hypot(x, y), 1.0)
+
+    def test_height_on_the_sweep_grid_matches_full_array_form(self):
+        # collin_krust_sweep's grid: 512 circles of 64 points, whose hypot
+        # radii repeat; one quadrature per distinct radius must give the
+        # per-point quadrature's heights exactly, in place
+        tau, E = 1.0, 1.0
+        rs = np.linspace(E + 1e-9, 200.0, 512)
+        th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        r = np.hypot(rs[:, None] * np.cos(th), rs[:, None] * np.sin(th))
+        wmax = np.arccosh(np.maximum(r / E, 1.0))
+        nodes, weights = leggauss(200)
+        w = 0.5 * wmax[..., None] * (nodes + 1.0)
+        integrand = E * np.sqrt(1.0 + (tau * E * np.cosh(w)) ** 2)
+        expected = 0.5 * wmax * np.sum(weights * integrand, axis=-1)
+        assert len(np.unique(r)) < r.size
+        got = catenoid_height(tau, E, r)
+        assert got.shape == r.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("r", [2.5, np.float64(2.5), np.array(2.5)])
+    def test_height_of_a_scalar_is_a_float(self, r):
+        h = catenoid_height(1.0, 1.0, r)
+        assert type(h) is float
+        assert h == catenoid_height(1.0, 1.0, np.array([r]))[0]
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 1, 3)])
+    def test_height_keeps_the_shape(self, shape):
+        r = 1.0 + np.arange(np.prod(shape), dtype=float)[::-1].reshape(shape) % 3
+        h = catenoid_height(1.0, 1.0, r)
+        assert h.shape == shape
+        for idx in np.ndindex(shape):
+            assert h[idx] == catenoid_height(1.0, 1.0, float(r[idx]))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
