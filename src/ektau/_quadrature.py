@@ -4,7 +4,8 @@ Integrands are vectorized callables f(x, y) over model coordinates.  Disks
 and annuli use Gauss-Legendre in the radius and a uniform (spectrally
 accurate, periodic) rule in the angle; the refinement loop doubles the
 resolution until two consecutive levels agree to the requested relative
-tolerance and reports the last inter-level difference as the error estimate.
+tolerance and reports the last inter-level difference as the error estimate;
+a level that reads inf or nan stops it with ConvergenceError.
 A level evaluates trigonometric functions once per angle and forms the
 nodes' coordinates as radius-by-angle products.
 """
@@ -89,15 +90,19 @@ def integrate_annulus(
     if not (0.0 <= r0 < r1):
         raise ValueError("need 0 <= r0 < r1")
     n_r, n_theta = n0, 2 * n0
-    prev = _annulus_level(f, r0, r1, n_r, n_theta)
-    for level in range(1, MAX_DOUBLINGS + 1):
+    prev = None
+    for level in range(1, MAX_DOUBLINGS + 2):
+        cur = _annulus_level(f, r0, r1, n_r, n_theta)
+        if not math.isfinite(cur):
+            # inf or nan cannot pass the level test, and finer levels cost 4x each
+            raise ConvergenceError(f"quadrature level {level} is not finite", best=cur)
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= rel_tol * max(abs(cur), 1e-300):
+                return QuadratureResult(cur, err, level)
+        prev = cur
         n_r *= 2
         n_theta *= 2
-        cur = _annulus_level(f, r0, r1, n_r, n_theta)
-        err = abs(cur - prev)
-        if err <= rel_tol * max(abs(cur), 1e-300):
-            return QuadratureResult(cur, err, level + 1)
-        prev = cur
     raise ConvergenceError(
         f"quadrature did not reach rel_tol={rel_tol}", best=prev
     )

@@ -20,7 +20,11 @@ division by zero and invalid operations included).  All work runs in the
 calling thread, and output is bit-identical for identical parameters and seed.
 
 The argument parser is built once per process, on first use, and never
-mutated; config values are applied on a fresh parser.
+mutated; config values are applied on a fresh parser.  Importing this
+module loads numpy and ektau only: scipy is imported by the functions
+that call it, so geodesic and growth --family intrinsic load it on first
+use, while ball-volume, collin-krust and the extrinsic and cylinder growth
+families run without it.
 """
 
 from __future__ import annotations

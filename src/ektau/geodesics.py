@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from ._quadrature import leggauss
 from .core import FrameVector, PointE, SpaceParams, _mu, base_intrinsic_radius, coord_to_frame
@@ -128,6 +126,8 @@ def integrate_geodesic(
     Samples are equispaced in arclength on [0, t_end]; unit-speed and
     a3 drift stay below roughly 10*tol.
     """
+    from scipy.integrate import solve_ivp
+
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     p0, v0 = spec.start, spec.direction
@@ -383,6 +383,8 @@ def zeta_critical_points(tau: float, R: float, n_grid: int = 4096) -> np.ndarray
     These solve tan(s/2) = s (4 tau^2 R^2 - s^2) / (8 tau^2 R^2); the number
     of solutions grows with R.
     """
+    from scipy.optimize import brentq
+
     s_hi = 2.0 * tau * R
     grid = np.linspace(s_hi * 1e-6, s_hi * (1.0 - 1e-9), n_grid)
     vals = zeta_r_prime(tau, R, grid)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from ._quadrature import leggauss
 from .core import SpaceParams, base_disk_model_radius
@@ -195,6 +193,9 @@ def _intrinsic_distances(g: GraphSurface, L: float, n: int, limit: float = np.in
     unlimited solve, and every farther node reads inf.  Returns (distance
     field, area weight field, cell area).
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     xs = np.linspace(-L, L, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")

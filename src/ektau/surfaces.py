@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._quadrature import integrate_annulus, leggauss
 from .core import SpaceParams, _mu, base_disk_area, base_disk_model_radius
@@ -263,6 +262,8 @@ def cmc_profile(
     alpha' = (cos(alpha) + 2 H r)/(r sqrt(1+tau^2 r^2)); H = 0 gives the
     catenoid, H != 0 undulary-like profiles.
     """
+    from scipy.integrate import solve_ivp
+
     if E <= 0.0:
         raise ValueError("E must be positive")
 

@@ -408,6 +408,53 @@ class TestSharedParser:
         assert build_parser() is not build_parser()
 
 
+# A fresh interpreter imports the CLI, runs one request, writes the scipy
+# modules it loaded to stderr and exits with the request's code; stdout is
+# the CLI's own.
+_COLD_RUN = (
+    "import json, sys\n"
+    "import ektau.cli\n"
+    "code = ektau.cli.main(sys.argv[1:])\n"
+    "sys.stderr.write(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestColdStart:
+    """scipy is imported by the functions that call it, so a request that
+    never reaches them starts without it; its output does not change."""
+
+    @staticmethod
+    def _cold(capsys, argv):
+        src = str(pathlib.Path(ektau.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_RUN, *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert proc.stdout == out.encode()
+        return json.loads(proc.stderr.decode().splitlines()[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ["ball-volume"],
+        ["collin-krust"],
+        ["growth"],
+        ["growth", "--family", "extrinsic"],
+        ["growth", "--family", "cylinder"],
+    ])
+    def test_loads_no_scipy(self, capsys, argv):
+        assert self._cold(capsys, [*argv, "--format", "json"]) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic"],
+        ["growth", "--example", "fmp", "--family", "intrinsic"],
+    ])
+    def test_loads_scipy_on_demand(self, capsys, argv):
+        assert "scipy" in self._cold(capsys, [*argv, "--format", "json"])
+
+
 # Flag values for the fuzz test: junk, specials and in-range numbers, with the
 # work sizes capped (samples <= 2e4, radii <= 4, steps <= 50, |t_end| <= 10)
 # so that every argument vector runs in well under a second.

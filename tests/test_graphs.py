@@ -1,6 +1,7 @@
 """Tests for vertical graphs: fields, mean curvature, areas, identities."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ektau import _quadrature
 from ektau.core import BasePoint, SpaceParams, base_disk_model_radius
-from ektau.errors import HypothesisViolationError, ModelDomainError
+from ektau.errors import ConvergenceError, HypothesisViolationError, ModelDomainError
 from ektau.graphs import (
     BaseDomain,
     BoundaryArc,
@@ -252,6 +253,39 @@ class TestAnnulusLevel:
         for n_r in (32, 64, 128):
             got = _quadrature._annulus_level(f, r0, r1, n_r, 2 * n_r)
             assert got == _meshgrid_level(f, r0, r1, n_r, 2 * n_r)
+
+
+class TestNonFiniteQuadrature:
+    """A level that reads inf or nan stops the refinement at once with a
+    ConvergenceError, instead of doubling the grid to its last level."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("from_level", [1, 2])
+    def test_raises_after_the_first_bad_level(self, bad, from_level, monkeypatch):
+        calls = []
+        level = _quadrature._annulus_level
+
+        def counted(*args):
+            calls.append(args)
+            return level(*args)
+
+        def f(x, y):
+            return np.full(np.shape(x), bad if len(calls) >= from_level else 1.0)
+
+        monkeypatch.setattr(_quadrature, "_annulus_level", counted)
+        with pytest.raises(ConvergenceError) as info:
+            _quadrature.integrate_annulus(f, 0.0, 1.0)
+        assert len(calls) == from_level
+        assert not math.isfinite(info.value.best)
+
+    def test_catenoid_just_outside_the_neck_fails_fast(self):
+        # every node of the annulus 1 < r < 1 + 1e-12 lies within a few
+        # thousand ulps of the neck, where the integrand reads inf or nan
+        g = catenoid(1.0, 1.0).graph
+        t0 = time.perf_counter()
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ConvergenceError):
+            graph_area(g, 1.0 + 1e-12)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestLemmaBounds:
