@@ -3,9 +3,9 @@
 Integrands are vectorized callables f(x, y) over model coordinates.  Disks
 and annuli use Gauss-Legendre in the radius and a uniform (spectrally
 accurate, periodic) rule in the angle; the refinement loop doubles the
-resolution until two consecutive levels agree to the requested relative
-tolerance and reports the last inter-level difference as the error estimate;
-a level that reads inf or nan stops it with ConvergenceError.
+resolution, from BASE_N radial nodes, until two consecutive levels agree to
+REL_TOL, relative, and reports the last inter-level difference as the error
+estimate; a level that reads inf or nan stops it with ConvergenceError.
 A level evaluates trigonometric functions once per angle and forms the
 nodes' coordinates as radius-by-angle products.
 """
@@ -23,6 +23,8 @@ from .errors import ConvergenceError
 __all__ = ["QuadratureResult", "integrate_annulus", "leggauss"]
 
 MAX_DOUBLINGS = 8
+BASE_N = 32      # Gauss-Legendre radii of the first level; twice as many angles
+REL_TOL = 1e-6   # relative agreement of two consecutive levels that ends the refinement
 _CHUNK_POINTS = 1 << 22  # cap on grid points evaluated at once
 
 
@@ -83,13 +85,11 @@ def _annulus_level(f, r0, r1, n_r, n_theta):
     return total * wt
 
 
-def integrate_annulus(
-    f, r0: float, r1: float, rel_tol: float = 1e-6, n0: int = 32
-) -> QuadratureResult:
+def integrate_annulus(f, r0: float, r1: float) -> QuadratureResult:
     """Integral of f(x, y) dx dy over the annulus r0 <= r <= r1."""
     if not (0.0 <= r0 < r1):
         raise ValueError("need 0 <= r0 < r1")
-    n_r, n_theta = n0, 2 * n0
+    n_r, n_theta = BASE_N, 2 * BASE_N
     prev = None
     for level in range(1, MAX_DOUBLINGS + 2):
         cur = _annulus_level(f, r0, r1, n_r, n_theta)
@@ -98,11 +98,11 @@ def integrate_annulus(
             raise ConvergenceError(f"quadrature level {level} is not finite", best=cur)
         if prev is not None:
             err = abs(cur - prev)
-            if err <= rel_tol * max(abs(cur), 1e-300):
+            if err <= REL_TOL * max(abs(cur), 1e-300):
                 return QuadratureResult(cur, err, level)
         prev = cur
         n_r *= 2
         n_theta *= 2
     raise ConvergenceError(
-        f"quadrature did not reach rel_tol={rel_tol}", best=prev
+        f"quadrature did not reach rel_tol={REL_TOL}", best=prev
     )

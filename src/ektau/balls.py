@@ -7,11 +7,11 @@ of the same radius at the origin: ``in_ball`` moves the point by the
 isometry that takes the centre to the origin (``geodesics.to_origin``), and
 volumes are computed for origin-centred balls.  These are invariant under
 rotation about the z-axis, as are the volume density and the cylinder, so
-a point or a sample is its horizontal radius and height only.
-``ball_membership`` decides membership in every space that has an exact
-distance; in Nil3 a point that the bounds rho <= d <= rho + |z| leave open
-solves the one-dimensional geodesic reduction of
-``geodesics.nil_distance_reduced`` until it is decided.
+a point or a sample is its horizontal radius and height only, and
+``geodesics.ball_distance`` with a radius decides its membership.  This
+module decides no distance itself: its only space tests are the volume
+density of ``mc_volume`` and the kappa < 0, tau > 0 guard of
+``sl2_volume_bracket``.
 """
 
 from __future__ import annotations
@@ -21,17 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PointE, SpaceParams, _mu, base_disk_area, base_disk_model_radius,
-                   base_intrinsic_radius)
+from .core import PointE, SpaceParams, _mu, base_disk_area, base_disk_model_radius
 from .errors import UnsupportedSpaceError
-from .geodesics import ball_height, nil_distance_reduced, sl2_max_height_bound, to_origin
+from .geodesics import ball_distance, ball_height, sl2_max_height_bound, to_origin
 
 __all__ = [
     "BallSpec",
     "VolumeEstimate",
     "GrowthFit",
     "bounding_cylinder",
-    "ball_membership",
     "in_ball",
     "mc_volume",
     "comparison_cylinder_volume",
@@ -104,32 +102,15 @@ def bounding_cylinder(ball: BallSpec) -> tuple[float, float]:
     return base_disk_model_radius(sp, R), ball_height(sp, R)
 
 
-def ball_membership(sp: SpaceParams, rho, z, R: float):
-    """Vectorized membership of the points at model radius rho, height z in B_R(0).
-
-    Nil3 solves the exact one-dimensional geodesic reduction; R^3 and
-    H^2 x R use d^2 = d_base^2 + z^2 < R^2, in units of R when R^2 would
-    underflow or overflow.  kappa < 0, tau > 0 has no exact distance and
-    raises UnsupportedSpaceError.
-    """
-    if sp.is_nil:
-        return nil_distance_reduced(sp.tau, rho, z, radius=R)
-    if sp.is_sl2:
-        raise UnsupportedSpaceError("no exact kappa<0, tau>0 distance; use sl2_volume_bracket")
-    d_base = base_intrinsic_radius(sp, rho)
-    if not (np.finfo(float).tiny <= R * R < math.inf):
-        d_base, z, R = d_base / R, z / R, 1.0
-    return d_base * d_base + z * z < R * R
-
-
 def in_ball(ball: BallSpec, p: PointE) -> bool:
-    """Whether p lies in the open ball: ``ball_membership`` of p after the
-    isometry that takes the centre to the origin (``geodesics.to_origin``).
+    """Whether p lies in the open ball: ``ball_distance`` with the radius, of
+    p after the isometry that takes the centre to the origin (``to_origin``).
 
     ValueError for a non-finite p, ModelDomainError for p outside the model
     disk; kappa < 0, tau > 0 raises UnsupportedSpaceError for every p.
     """
-    return bool(ball_membership(ball.sp, *to_origin(ball.sp, ball.center, p), ball.radius))
+    rho, z = to_origin(ball.sp, ball.center, p)
+    return bool(ball_distance(ball.sp, rho, z, radius=ball.radius))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +179,7 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     while n_done < n_samples:
         n = min(MC_CHUNK, n_samples - n_done)
         rho, z = _sample_cylinder(seed, chunk, buf[:, :n], disk_r, height)
-        hit = ball_membership(sp, rho, z, R)
+        hit = ball_distance(sp, rho, z, radius=R)
         if sp.is_product:  # kappa < 0, tau = 0
             lam = 1.0 / _mu(sp, rho)
             vals = hit * lam**2

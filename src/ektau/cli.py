@@ -52,13 +52,7 @@ from .geodesics import (
     sl2_geodesic_velocity,
     sl2_families,
 )
-from .growth import (
-    FAMILY_TAGS,
-    RegionFamily,
-    collin_krust_sweep,
-    growth_verdict,
-    region_areas,
-)
+from .growth import collin_krust_sweep, growth_verdict, region_areas
 from .surfaces import catenoid, fmp_surface, umbrella, affine_plane
 
 __all__ = ["main"]
@@ -235,11 +229,8 @@ def _build_example(args):
 
 def cmd_growth(args) -> None:
     surface = _build_example(args)
-    fam_tag = FAMILY_TAGS.get(args.family)
-    if fam_tag is None:
-        raise CliError("family must be intrinsic, extrinsic or cylinder")
     radii = _parse_radii(args.radii)
-    rows = list(zip(radii, region_areas(surface, RegionFamily(fam_tag), radii)))
+    rows = list(zip(radii, region_areas(surface, args.family, radii)))
     extras = {}
     if len(radii) >= 6:
         expected = {"model": "power", "value": 3.0, "comparison": "exact"}

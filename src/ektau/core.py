@@ -45,7 +45,7 @@ __all__ = [
     "volume_form",
 ]
 
-FD_STEP = 1e-5  # default central-difference step for field derivatives
+FD_STEP = 1e-5  # central-difference step for field derivatives
 
 
 @dataclass(frozen=True)
@@ -242,25 +242,19 @@ def connection_term(sp: SpaceParams, p: PointE, i: int, j: int) -> np.ndarray:
     return np.array(table[(i, j)])
 
 
-def covariant_derivative(
-    sp: SpaceParams,
-    X,
-    Y,
-    p: PointE,
-    step: float = FD_STEP,
-) -> FrameVector:
+def covariant_derivative(sp: SpaceParams, X, Y, p: PointE) -> FrameVector:
     """Levi-Civita derivative nabla_X Y at p for frame-coefficient fields.
 
     X and Y are callables PointE -> FrameVector.  The derivative of Y's
     coefficients along X is taken by central finite differences with the
-    given coordinate step (analytic fields can be pre-differentiated by the
+    coordinate step FD_STEP (analytic fields can be pre-differentiated by the
     caller by baking the derivative into a custom Y).
     """
     xv = X(p).as_array()
     yv = Y(p).as_array()
     direction = frame_to_coord(sp, p, FrameVector(*xv))
     # derivative of Y's frame coefficients along the coordinate flow of X
-    h = step
+    h = FD_STEP
     pp = PointE(p.x + h * direction[0], p.y + h * direction[1], p.z + h * direction[2])
     pm = PointE(p.x - h * direction[0], p.y - h * direction[1], p.z - h * direction[2])
     dy = (Y(pp).as_array() - Y(pm).as_array()) / (2.0 * h)

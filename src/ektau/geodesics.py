@@ -58,6 +58,8 @@ _REDUCTION_EPS = 4.0 * np.finfo(float).eps  # relative step at which the reducti
 _REDUCTION_MAX_ITER = 100
 _REDUCTION_TINY = 2.0**-60  # relative size below which a closed form is exact to rounding
 _SHOOTING_MIN = 1e-3  # rho + |z| below which the shooting solver's absolute tolerance is too coarse
+_ZETA_N_GRID = 4096  # grid points bracketing the roots of zeta_r'
+_UPPER_BOUND_QUAD = 96  # Gauss-Legendre order of the lifted-segment length
 
 
 @dataclass(frozen=True)
@@ -377,7 +379,7 @@ def zeta_r_prime(tau: float, R: float, s) -> float:
     return float(val) if val.ndim == 0 else val
 
 
-def zeta_critical_points(tau: float, R: float, n_grid: int = 4096) -> np.ndarray:
+def zeta_critical_points(tau: float, R: float) -> np.ndarray:
     """Roots of zeta_r' in (0, 2 tau R) away from the cos(s) = -1 branch.
 
     These solve tan(s/2) = s (4 tau^2 R^2 - s^2) / (8 tau^2 R^2); the number
@@ -386,7 +388,7 @@ def zeta_critical_points(tau: float, R: float, n_grid: int = 4096) -> np.ndarray
     from scipy.optimize import brentq
 
     s_hi = 2.0 * tau * R
-    grid = np.linspace(s_hi * 1e-6, s_hi * (1.0 - 1e-9), n_grid)
+    grid = np.linspace(s_hi * 1e-6, s_hi * (1.0 - 1e-9), _ZETA_N_GRID)
     vals = zeta_r_prime(tau, R, grid)
     roots = []
     for i in range(len(grid) - 1):
@@ -688,18 +690,27 @@ def to_origin(sp: SpaceParams, c: PointE, p: PointE) -> tuple[float, float]:
     return sp.model_radius * _disk_modulus(sp.kappa, c, p), p.z - c.z
 
 
-def ball_distance(sp: SpaceParams, rho, z):
-    """Vectorized distance from the origin to the points at model radius rho, height z.
+def ball_distance(sp: SpaceParams, rho, z, radius: float | None = None):
+    """Vectorized distance from the origin to the points at model radius rho,
+    height z; with a radius, the membership d < radius in the ball B_radius(0).
 
     Nil3 solves the exact one-dimensional geodesic reduction
-    (``nil_distance_reduced``); R^3 and H^2 x R give hypot(d_base, z).
-    kappa < 0, tau > 0 has no exact distance and raises UnsupportedSpaceError.
+    (``nil_distance_reduced``, which settles most members from bounds);
+    R^3 and H^2 x R give hypot(d_base, z), and membership by
+    d_base^2 + z^2 < radius^2, in units of the radius when its square would
+    underflow or overflow.  kappa < 0, tau > 0 has no exact distance and
+    raises UnsupportedSpaceError.
     """
     if sp.is_nil:
-        return nil_distance_reduced(sp.tau, rho, z)
+        return nil_distance_reduced(sp.tau, rho, z, radius=radius)
     if sp.is_sl2:
         raise UnsupportedSpaceError("no exact kappa<0, tau>0 distance; use sl2_volume_bracket")
-    return np.hypot(base_intrinsic_radius(sp, rho), z)
+    d_base = base_intrinsic_radius(sp, rho)
+    if radius is None:
+        return np.hypot(d_base, z)
+    if not (np.finfo(float).tiny <= radius * radius < math.inf):
+        d_base, z, radius = d_base / radius, z / radius, 1.0
+    return d_base * d_base + z * z < radius * radius
 
 
 def distance(sp: SpaceParams, p: PointE, q: PointE) -> float:
@@ -717,8 +728,7 @@ def distance(sp: SpaceParams, p: PointE, q: PointE) -> float:
     return float(ball_distance(sp, rho, z))
 
 
-def distance_upper_bound(sp: SpaceParams, p: PointE, q: PointE,
-                         n_quad: int = 96) -> float:
+def distance_upper_bound(sp: SpaceParams, p: PointE, q: PointE) -> float:
     """Upper bound on the distance, exact where distance() is implemented.
 
     For kappa < 0, tau > 0 it is the length of the model straight segment
@@ -727,7 +737,7 @@ def distance_upper_bound(sp: SpaceParams, p: PointE, q: PointE,
     """
     if not sp.is_sl2:
         return distance(sp, p, q)
-    nodes, weights = leggauss(n_quad)
+    nodes, weights = leggauss(_UPPER_BOUND_QUAD)
     s = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     xs = p.x + s * (q.x - p.x)

@@ -53,6 +53,7 @@ __all__ = [
 
 GRAD_FD_STEP = 1e-6  # central-difference step for missing gradients
 DIV_FD_STEP = 1e-4   # central-difference step for the divergence
+BOUNDS_N_THETA = 64  # angles per circle of gradient_height_bounds
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,14 @@ def _gu_derivatives(sp, mu, x, y, ux, uy, uxx, uxy, uyy):
     return d1x, d1y, d2x, d2y
 
 
-def mean_curvature(g: GraphSurface, p: BasePoint, step: float = DIV_FD_STEP):
+def mean_curvature(g: GraphSurface, p: BasePoint):
     """H(u)(p) = (1/2) div(Gu/W) in the base metric of M^2(kappa).
 
     The divergence of a field with frame components (v1, v2) is
     lambda^{-2} (d_x(lambda v1) + d_y(lambda v2)), which is
     mu (d_x v1 + d_y v2) - (kappa/2)(x v1 + y v2).  With analytic second
     derivatives the divergence is exact; otherwise the two outer partials
-    are central differences with the given step.
+    are central differences with step DIV_FD_STEP.
     """
     sp = g.sp
     x, y = np.asarray(p.x, dtype=float), np.asarray(p.y, dtype=float)
@@ -222,7 +223,7 @@ def mean_curvature(g: GraphSurface, p: BasePoint, step: float = DIV_FD_STEP):
             return lams * g1 / W, lams * g2 / W
 
         mu = _mu(sp, x, y)
-        h = step
+        h = DIV_FD_STEP
         v1p, _ = lam_v(x + h, y)
         v1m, _ = lam_v(x - h, y)
         _, v2p = lam_v(x, y + h)
@@ -257,7 +258,7 @@ def _quad_limits(g: GraphSurface, r_outer: float):
     return g.domain.r_in, min(g.domain.r_out, r_outer)
 
 
-def graph_area(g: GraphSurface, r_outer: float, rel_tol: float = 1e-6) -> QuadratureResult:
+def graph_area(g: GraphSurface, r_outer: float) -> QuadratureResult:
     """Area of the graph over its domain cut to the model disk r <= r_outer.
 
     The domain's radii are the radial limits and its cut masks the
@@ -267,11 +268,10 @@ def graph_area(g: GraphSurface, r_outer: float, rel_tol: float = 1e-6) -> Quadra
     r0, r1 = _quad_limits(g, r_outer)
     if r1 <= r0:
         return QuadratureResult(0.0, 0.0, 0)
-    return integrate_annulus(_area_density(g), r0, r1, rel_tol=rel_tol)
+    return integrate_annulus(_area_density(g), r0, r1)
 
 
-def base_disk_area_weighted(g: GraphSurface, R: float, with_z: bool,
-                            rel_tol: float = 1e-6) -> float:
+def base_disk_area_weighted(g: GraphSurface, R: float, with_z: bool) -> float:
     """integral over Omega(R) of 1 (base area) or of |Z|, in the base metric;
     0 when Omega(R) is empty."""
     sp = g.sp
@@ -287,7 +287,7 @@ def base_disk_area_weighted(g: GraphSurface, R: float, with_z: bool,
             out = out * sp.tau * np.hypot(x, y)
         return out
 
-    return integrate_annulus(g.domain.masked(f), r0, r1, rel_tol=rel_tol).value
+    return integrate_annulus(g.domain.masked(f), r0, r1).value
 
 
 def _arc_samples(arc: BoundaryArc, n: int = 4096):
@@ -353,42 +353,45 @@ class Lemma42Bound:
         return self.interior_term + self.height_term
 
 
-def lemma41_bound(g: GraphSurface, R: float, h=None) -> Lemma41Bound:
+def _lemma_terms(g: GraphSurface, R: float, h):
+    """The terms of both Lemma bounds: h(R) (ball_height unless given), the
+    area and |Z| integrals over Omega(R), the length of Theta(R), and each
+    boundary arc with its length inside D_R."""
+    sp = g.sp
+    re = base_disk_model_radius(sp, R)
+    arcs = [(arc, _arc_length_inside(sp, arc, re)) for arc in g.domain.arcs]
+    return (ball_height(sp, R) if h is None else h,
+            base_disk_area_weighted(g, R, with_z=False),
+            base_disk_area_weighted(g, R, with_z=True),
+            _theta_length(g, R), arcs)
+
+
+def lemma41_bound(g: GraphSurface, R: float, h: float | None = None) -> Lemma41Bound:
     """Upper bound on area(Sigma meet B_R) for graphs with controlled boundary.
 
     The boundary of Omega(R) splits into the circle part Theta(R), the
     infinite-value arcs Lambda(R) (both weighted by the cylinder height
     h(R)) and the finite-value arcs Gamma(R) (weighted by |u|).
     """
-    sp = g.sp
-    hR = h(R) if callable(h) else (h if h is not None else ball_height(sp, R))
-    re = base_disk_model_radius(sp, R)
-    area = base_disk_area_weighted(g, R, with_z=False)
-    z_int = base_disk_area_weighted(g, R, with_z=True)
-    length = _theta_length(g, R)
+    hR, area, z_int, length, arcs = _lemma_terms(g, R, h)
+    re = base_disk_model_radius(g.sp, R)
     gamma_int = 0.0
-    for arc in g.domain.arcs:
+    for arc, arc_length in arcs:
         if arc.kind == "infinite":
-            length += _arc_length_inside(sp, arc, re)
+            length += arc_length
         else:
             gamma_int += _arc_length_inside(
-                sp, arc, re, weight=lambda x, y: np.abs(g.u(x, y))
+                g.sp, arc, re, weight=lambda x, y: np.abs(g.u(x, y))
             )
     return Lemma41Bound(area, z_int, hR * length, gamma_int)
 
 
-def lemma42_bound(g: GraphSurface, R: float, h=None) -> Lemma42Bound:
+def lemma42_bound(g: GraphSurface, R: float, h: float | None = None) -> Lemma42Bound:
     """Coarser area bound using the full boundary length of Omega(R)."""
-    sp = g.sp
-    hR = h(R) if callable(h) else (h if h is not None else ball_height(sp, R))
-    re = base_disk_model_radius(sp, R)
-    interior = base_disk_area_weighted(g, R, with_z=False) + base_disk_area_weighted(
-        g, R, with_z=True
-    )
-    length = _theta_length(g, R)
-    for arc in g.domain.arcs:
-        length += _arc_length_inside(sp, arc, re)
-    return Lemma42Bound(interior, hR * length)
+    hR, area, z_int, length, arcs = _lemma_terms(g, R, h)
+    for _, arc_length in arcs:
+        length += arc_length
+    return Lemma42Bound(area + z_int, hR * length)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +437,16 @@ def calabi_lee_check(g: GraphSurface, grad_v, points) -> np.ndarray:
     return np.array(res)
 
 
-def gradient_height_bounds(g: GraphSurface, radii, n_theta: int = 64):
+def gradient_height_bounds(g: GraphSurface, radii):
     """Smallest empirical (B, C) with |Gu| <= B(1+r^2), |u| <= C(1+r^2)^{3/2}.
 
-    Sampled on circles of the given radii (entire graphs only); the
-    constants certify nothing beyond the sample.
+    Sampled at BOUNDS_N_THETA angles on circles of the given radii (entire
+    graphs only); the constants certify nothing beyond the sample.
     """
     sp = g.sp
     B = 0.0
     C = 0.0
-    ang = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    ang = np.linspace(0.0, 2.0 * math.pi, BOUNDS_N_THETA, endpoint=False)
     for r in radii:
         x, y = r * np.cos(ang), r * np.sin(ang)
         ux, uy = g.grad(x, y)

@@ -1,10 +1,12 @@
 """Area-growth measurement: region areas, growth fits, verdicts and sweeps.
 
-Areas of the intersection of a graph surface with three region families
-(solid cylinders, ambient geodesic balls, surface geodesic balls) are
-measured at finite radii and fitted against power or exponential growth
-models.  All verdicts are finite-radius checks standing in for asymptotic
-statements and say so via their tolerances, never certifying a limit.
+Areas of the intersection of a graph surface with three region families,
+named by plain strings ("cylinder": solid cylinders, "extrinsic": ambient
+geodesic balls, "intrinsic": surface geodesic balls), are measured at
+finite radii by the one entry point ``region_areas`` and fitted against
+power or exponential growth models.  All verdicts are finite-radius checks
+standing in for asymptotic statements and say so via their tolerances,
+never certifying a limit.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from .graphs import GraphSurface, _area_density, _gu_components, _quad_limits, g
 from .surfaces import ExampleSurface, catenoid, fmp_surface, umbrella, affine_plane
 
 __all__ = [
-    "RegionFamily",
     "GrowthReport",
-    "region_area",
     "region_areas",
     "intrinsic_area_table",
     "growth_verdict",
@@ -41,26 +41,16 @@ VERDICT_RATE_TOL = 0.10         # relative window for exponential rates
 VERDICT_RESIDUAL_MAX = 0.2      # rms log-residual beyond which fits are inconclusive
 RAY_MAX_ITER = 100              # root-solver probes per ray before ConvergenceError
 RAY_REL_WIDTH = 4.0 * np.finfo(float).eps  # final ray-stop bracket width, relative to r
-
-# family names of the CLI and the table rows, and the region-family tags they select
-FAMILY_TAGS = {"extrinsic": "extrinsic_ball", "intrinsic": "intrinsic_ball",
-               "cylinder": "cylinder"}
-
-
-@dataclass(frozen=True)
-class RegionFamily:
-    """One of the three region families cut against the surface."""
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS.values():
-            raise ValueError(f"unknown family tag {self.tag!r}")
+EXTRINSIC_N_THETA = 256         # rays of the extrinsic-ball area
+EXTRINSIC_N_R = 96              # Gauss-Legendre nodes per ray
+SWEEP_N_GRID = 512              # sample circles of a Collin-Krust sweep
+SWEEP_BOUNDARY_TOL = 1e-6       # |u| below which a boundary value or a sweep reads zero
 
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Measured areas, fitted model and verdict for one Table-style row."""
+    """Measured areas, fitted model and verdict for one Table-style row;
+    family is the region family's name, as ``region_areas`` takes it."""
 
     surface: str
     family: str
@@ -73,10 +63,6 @@ class GrowthReport:
 # ---------------------------------------------------------------------------
 # Region areas
 # ---------------------------------------------------------------------------
-
-def _graph(g) -> GraphSurface:
-    return g.graph if isinstance(g, ExampleSurface) else g
-
 
 def _ray_stop(dist, theta, r_lo, r_hi, R: float):
     """Per-angle radius in [r_lo, r_hi] at which dist along the ray reaches R.
@@ -129,9 +115,9 @@ def _ray_stop(dist, theta, r_lo, r_hi, R: float):
     return stop
 
 
-def _extrinsic_area(g: GraphSurface, R: float, n_theta: int = 256,
-                    n_r: int = 96) -> float:
-    """Area of the graph inside B_R(0) by per-ray radial quadrature.
+def _extrinsic_area(g: GraphSurface, R: float) -> float:
+    """Area of the graph inside B_R(0) by radial quadrature on EXTRINSIC_N_THETA
+    rays, EXTRINSIC_N_R Gauss-Legendre nodes each.
 
     Each ray is cut where the ambient distance of the graph point,
     ``geodesics.ball_distance``, reaches R (``_ray_stop``), and the area density
@@ -143,15 +129,15 @@ def _extrinsic_area(g: GraphSurface, R: float, n_theta: int = 256,
     r_lo, r_cap = _quad_limits(g, re)
     if r_cap <= r_lo:
         return 0.0
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+    theta = (np.arange(EXTRINSIC_N_THETA) + 0.5) * (2.0 * math.pi / EXTRINSIC_N_THETA)
     eps = r_lo + 1e-9 * max(r_cap, 1.0)
     stop = _ray_stop(dist, theta, eps, r_cap, R)
-    nodes, weights = leggauss(n_r)
+    nodes, weights = leggauss(EXTRINSIC_N_R)
     half = 0.5 * (stop - eps)
     r = eps + half[:, None] * (nodes + 1.0)
     w = half[:, None] * weights
     dens = _area_density(g)(r * np.cos(theta)[:, None], r * np.sin(theta)[:, None])
-    return float(np.sum(w * dens * r) * (2.0 * math.pi / n_theta))
+    return float(np.sum(w * dens * r) * (2.0 * math.pi / EXTRINSIC_N_THETA))
 
 
 def _induced_metric(g: GraphSurface, x, y):
@@ -239,17 +225,16 @@ def _intrinsic_distances(g: GraphSurface, L: float, n: int, limit: float = np.in
     return dist, area_w, h * h
 
 
-def intrinsic_area_table(g: GraphSurface, radii, n0: int = INTRINSIC_BASE_N,
-                         stability: float = INTRINSIC_STABILITY):
+def intrinsic_area_table(g: GraphSurface, radii):
     """Areas of the surface geodesic balls B_R for all radii at once.
 
     Every radius is read from one distance field per grid level.  The grid
     covers the base disk that holds the largest ball, and Dijkstra stops at
     the largest radius, since no area counts a farther node.  The field is
-    refined (grid doubling) until every radius is stable to the requested
-    relative tolerance; ConvergenceError, carrying the finest areas in
-    ``best``, is raised if four levels do not reach it.  A domain that
-    excludes the origin, where the balls are centred, raises
+    refined (grid doubling, from INTRINSIC_BASE_N) until every radius is
+    stable to INTRINSIC_STABILITY, relative; ConvergenceError, carrying the
+    finest areas in ``best``, is raised if four levels do not reach it.
+    A domain that excludes the origin, where the balls are centred, raises
     HypothesisViolationError before any grid is solved.
     """
     if not g.domain.membership(0.0, 0.0):
@@ -257,55 +242,44 @@ def intrinsic_area_table(g: GraphSurface, radii, n0: int = INTRINSIC_BASE_N,
     radii = np.asarray(radii, dtype=float)
     r_max = float(np.max(radii))
     L = base_disk_model_radius(g.sp, r_max)
-    n = n0
+    n = INTRINSIC_BASE_N
     prev = None
     for _ in range(4):
         dist, area_w, cell = _intrinsic_distances(g, L, n, limit=r_max)
         areas = np.array([float(np.sum(area_w[dist <= R]) * cell) for R in radii])
         if prev is not None and np.all(
-            np.abs(areas - prev) <= stability * np.maximum(areas, 1e-300)
+            np.abs(areas - prev) <= INTRINSIC_STABILITY * np.maximum(areas, 1e-300)
         ):
             return areas
         prev = areas
         n = 2 * n - 1
     raise ConvergenceError(
-        f"intrinsic areas not stable to {stability} after 4 grid levels", best=areas
+        f"intrinsic areas not stable to {INTRINSIC_STABILITY} after 4 grid levels",
+        best=areas,
     )
 
 
-def _over_base_disk(g, fam: RegionFamily) -> bool:
-    """Whether the family's region of size R cuts the graph over a base disk.
+def region_areas(g, family: str, radii) -> list[float]:
+    """Areas of the graph cut by the family's regions, at every radius in the
+    order given.
 
-    Cylinders always do; ExampleSurface inputs also say so by their
-    extrinsic_equals_base_disk field (umbrellas intersect B_R exactly in
-    the graph over D_R, so all families agree there).
+    family is "extrinsic" (ambient geodesic balls B_R(0)), "intrinsic"
+    (surface geodesic balls about the point over the origin) or "cylinder"
+    (solid cylinders over the base disk D_R); any other name raises
+    ValueError.  Cylinders, and every family on an ExampleSurface whose
+    extrinsic_equals_base_disk says so (the umbrellas), cut the graph over
+    D_R.  Intrinsic balls of all radii come from one intrinsic_area_table.
     """
-    return fam.tag == "cylinder" or (
-        isinstance(g, ExampleSurface) and g.extrinsic_equals_base_disk)
-
-
-def region_area(g, fam: RegionFamily, R: float) -> float:
-    """Area of the surface piece cut by the family's region of size R."""
-    gg = _graph(g)
-    if _over_base_disk(g, fam):
-        re = base_disk_model_radius(gg.sp, R)
-        return graph_area(gg, re).value
-    if fam.tag == "extrinsic_ball":
-        return _extrinsic_area(gg, R)
-    return float(intrinsic_area_table(gg, [R])[0])
-
-
-def region_areas(g, fam: RegionFamily, radii) -> list[float]:
-    """Areas of the family's regions at every radius, in the order given.
-
-    Intrinsic balls of all radii are read from one distance field per grid
-    level, by one intrinsic_area_table call that refines until every radius
-    is stable; the other families, and surfaces cut over a base disk, are
-    measured radius by radius with region_area.
-    """
-    if fam.tag == "intrinsic_ball" and not _over_base_disk(g, fam):
-        return [float(a) for a in intrinsic_area_table(_graph(g), radii)]
-    return [region_area(g, fam, R) for R in radii]
+    if family not in ("extrinsic", "intrinsic", "cylinder"):
+        raise ValueError(
+            f"family must be extrinsic, intrinsic or cylinder, got {family!r}")
+    example = isinstance(g, ExampleSurface)
+    gg = g.graph if example else g
+    if family == "cylinder" or (example and g.extrinsic_equals_base_disk):
+        return [graph_area(gg, base_disk_model_radius(gg.sp, R)).value for R in radii]
+    if family == "extrinsic":
+        return [_extrinsic_area(gg, R) for R in radii]
+    return [float(a) for a in intrinsic_area_table(gg, radii)]
 
 
 # ---------------------------------------------------------------------------
@@ -372,33 +346,33 @@ class CollinKrustSweep:
     liminf_quadratic: float | None = None
 
 
-def collin_krust_sweep(g: GraphSurface, radii, n_grid: int = 512,
-                       boundary_tol: float = 1e-6) -> CollinKrustSweep:
+def collin_krust_sweep(g: GraphSurface, radii) -> CollinKrustSweep:
     """M(r) = sup |u| over Omega meet D_r, with liminf M(r)/r estimated.
 
-    Requires zero boundary values on the finite-value arcs and a
-    non-constant u; the linear liminf is taken over the upper half of the
-    radii (and M(r)/r^2 is reported when the domain is an uncut annulus
-    r > r_in > 0, whose circle cut has bounded length).
+    Requires zero boundary values (to SWEEP_BOUNDARY_TOL) on the finite-value
+    arcs and a non-constant u, sampled on SWEEP_N_GRID circles; the linear
+    liminf is taken over the upper half of the radii (and M(r)/r^2 is
+    reported when the domain is an uncut annulus r > r_in > 0, whose circle
+    cut has bounded length).
     """
     radii = np.asarray(radii, dtype=float)
     for arc in g.domain.arcs:
         s = np.linspace(0.0, 1.0, 512)
         bx, by = arc.curve(s)
-        if arc.kind == "finite" and np.max(np.abs(g.u(bx, by))) > boundary_tol:
+        if arc.kind == "finite" and np.max(np.abs(g.u(bx, by))) > SWEEP_BOUNDARY_TOL:
             raise HypothesisViolationError("nonzero boundary values on a finite arc")
     r_max = float(np.max(radii))
     r_lo, r_hi = _quad_limits(g, r_max)
     if r_hi <= r_lo:
         raise ValueError("region does not meet the domain")
-    rs = np.linspace(r_lo + 1e-9, r_max, n_grid)
+    rs = np.linspace(r_lo + 1e-9, r_max, SWEEP_N_GRID)
     th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     x, y = rs[:, None] * np.cos(th), rs[:, None] * np.sin(th)
     vals = np.where(g.domain.membership(x, y), np.abs(g.u(x, y)), 0.0)
     # running[i] is the sup over the first i sample circles (0 over none)
     running = np.concatenate(([0.0], np.maximum.accumulate(np.max(vals, axis=1))))
     M = running[np.searchsorted(rs, radii, side="right")]
-    if np.max(M) <= boundary_tol:
+    if np.max(M) <= SWEEP_BOUNDARY_TOL:
         raise HypothesisViolationError("u is (numerically) identically zero")
     upper = radii >= 0.5 * r_max
     liminf_lin = float(np.min(M[upper] / radii[upper]))
@@ -455,10 +429,7 @@ def table1_suite(selection=None) -> list[GrowthReport]:
 
 
 def _row(surface, family, radii, expected) -> GrowthReport:
-    fam = RegionFamily(FAMILY_TAGS[family])
-    areas = region_areas(surface, fam, radii)
+    areas = region_areas(surface, family, radii)
     samples = [(float(R), a, 0.0) for R, a in zip(radii, areas)]
-    verdict, fit = growth_verdict(
-        [s[0] for s in samples], [s[1] for s in samples], expected
-    )
-    return GrowthReport(surface.name, fam.tag, tuple(samples), fit, expected, verdict)
+    verdict, fit = growth_verdict(radii, areas, expected)
+    return GrowthReport(surface.name, family, tuple(samples), fit, expected, verdict)

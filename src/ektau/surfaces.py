@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quadrature import integrate_annulus, leggauss
+from ._quadrature import leggauss
 from .core import SpaceParams, _mu, base_disk_area, base_disk_model_radius
 from .errors import ConvergenceError, HypothesisViolationError
 from .graphs import BaseDomain, GraphSurface
@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 HEIGHT_QUAD_ORDER = 200  # Gauss-Legendre order of the catenoid height integral
+POLYGON_QUAD_ORDER = 64  # Gauss-Legendre order of each ideal-triangle integral
+PROFILE_TOL = 1e-10      # relative and absolute ODE tolerance of cmc_profile
+PROFILE_SAMPLES = 400    # arclength samples of a cmc_profile
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,31 @@ def _zero(x, y):
 
 
 def _umbrella_area(sp: SpaceParams, R: float) -> float:
-    """Extrinsic area of the horizontal umbrella inside B_R(0)."""
+    """Extrinsic area of the horizontal umbrella inside B_R(0): the integral
+    of sqrt(1 + tau^2 r^2) lambda^2 over the base disk D_R, in closed form.
+
+    For kappa < 0, tau > 0 it is pi [F(S) - F(0)], S the squared model
+    radius of D_R, with a = tau^2, b = kappa/4, q = sqrt(-b (a - b)) and
+    F(s) = (a / (b q)) artanh(q sqrt(1 + a s) / (a - b))
+           - sqrt(1 + a s) / (b (1 + b s)),
+    regrouped so that no two terms cancel as -b / a tends to 0, with
+    artanh(x) - x summed as its series where x is small.
+    """
     if sp.tau == 0.0:
         return base_disk_area(sp, R)
+    a, b = sp.tau**2, 0.25 * sp.kappa
     if sp.kappa == 0.0:
-        t2 = sp.tau**2
-        return 2.0 * math.pi / (3.0 * t2) * ((1.0 + t2 * R * R) ** 1.5 - 1.0)
-
-    def f(x, y):
-        r = np.hypot(x, y)
-        lam = 1.0 / _mu(sp, r)
-        return np.sqrt(1.0 + sp.tau**2 * r * r) * lam * lam
-
-    return integrate_annulus(f, 0.0, base_disk_model_radius(sp, R), rel_tol=1e-9).value
+        return 2.0 * math.pi / (3.0 * a) * ((1.0 + a * R * R) ** 1.5 - 1.0)
+    S = base_disk_model_radius(sp, R) ** 2
+    W = math.sqrt(1.0 + a * S)
+    q = math.sqrt(-b * (a - b))
+    x = q * S / (1.0 + W + b * S)
+    x2 = x * x
+    tail = math.atanh(x) - x if x > 0.1 else x * x2 * sum(
+        x2**k / (2 * k + 3) for k in range(9))
+    return math.pi * (S / (1.0 + b * S)
+                      + a * W * S * S / ((1.0 + W) * (1.0 + W + b * S) * (1.0 + b * S))
+                      + a / (b * q) * tail)
 
 
 def umbrella(sp: SpaceParams) -> ExampleSurface:
@@ -248,14 +263,7 @@ class CatenoidProfile:
         return self.r * np.cos(self.alpha) + self.H * self.r**2
 
 
-def cmc_profile(
-    tau: float,
-    H: float,
-    E: float,
-    t_end: float,
-    tol: float = 1e-10,
-    n_samples: int = 400,
-) -> CatenoidProfile:
+def cmc_profile(tau: float, H: float, E: float, t_end: float) -> CatenoidProfile:
     """Integrate the rotational profile system from the neck r = E, alpha = 0.
 
     h' = cos(alpha), r' = sin(alpha)/sqrt(1+tau^2 r^2),
@@ -277,13 +285,13 @@ def cmc_profile(
         (0.0, t_end),
         [0.0, E, 0.0],
         method="DOP853",
-        rtol=tol,
-        atol=tol,
+        rtol=PROFILE_TOL,
+        atol=PROFILE_TOL,
         dense_output=True,
     )
     if sol.status != 0:
         raise ConvergenceError(f"profile integration failed: {sol.message}")
-    t = np.linspace(0.0, t_end, n_samples)
+    t = np.linspace(0.0, t_end, PROFILE_SAMPLES)
     h, r, al = sol.sol(t)
     return CatenoidProfile(tau, H, E, t, r, h, al)
 
@@ -307,7 +315,7 @@ def ideal_polygon_area(kappa: float, n: int, H: float) -> float:
     return 2.0 * (n - 1) * math.pi / (-kappa - 4.0 * H * H)
 
 
-def ideal_polygon_area_numeric(kappa: float, n: int, n_quad: int = 64) -> float:
+def ideal_polygon_area_numeric(kappa: float, n: int) -> float:
     """H = 0 cross-check: the ideal 2n-gon splits into 2n-2 ideal triangles.
 
     One triangle's area is a quadrature of the conformal factor
@@ -325,7 +333,7 @@ def ideal_polygon_area_numeric(kappa: float, n: int, n_quad: int = 64) -> float:
         raise ValueError("kappa must be negative")
     sp = SpaceParams(kappa, 0.0)
     r_inf = sp.model_radius
-    nodes, weights = leggauss(n_quad)
+    nodes, weights = leggauss(POLYGON_QUAD_ORDER)
     s_max = math.sqrt(math.pi / 3.0)
     s = 0.5 * s_max * (nodes + 1.0)
     psi = math.pi / 3.0 - s * s

@@ -37,12 +37,11 @@ from ektau.graphs import (
     mean_curvature,
 )
 from ektau.growth import (
-    RegionFamily,
     _extrinsic_area,
     calibration_check,
     collin_krust_sweep,
     intrinsic_area_table,
-    region_area,
+    region_areas,
 )
 from ektau.surfaces import (
     affine_plane,
@@ -231,15 +230,14 @@ def test_criterion_03_quartic_volume():
 def test_criterion_04_umbrella_areas():
     tau = 1.0
     surf = umbrella(SpaceParams(0.0, tau))
-    fam = RegionFamily("extrinsic_ball")
     rel = 0.0
     for R in (1.0, 2.0, 4.0):
         exact = 2.0 * math.pi / (3.0 * tau**2) * ((1.0 + tau**2 * R * R) ** 1.5 - 1.0)
-        rel = max(rel, abs(region_area(surf, fam, R) / exact - 1.0))
+        rel = max(rel, abs(region_areas(surf, "extrinsic", [R])[0] / exact - 1.0))
 
     surf_h = umbrella(SpaceParams(-1.0, 1.0))
     radii = [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-    areas = [region_area(surf_h, fam, R) for R in radii]
+    areas = region_areas(surf_h, "extrinsic", radii)
     fit = volume_growth_fit(radii, areas)
     rate_err = abs(fit.exp_rate - 1.0)
     # leading coefficient at the largest measured radius, using the
@@ -354,7 +352,7 @@ def test_criterion_08_lemma_bounds():
     worst = math.inf
     for name, surf in surfaces.items():
         for R in (2.0, 4.0, 8.0):
-            area = region_area(surf, RegionFamily("extrinsic_ball"), R)
+            (area,) = region_areas(surf, "extrinsic", [R])
             b41 = lemma41_bound(surf.graph, R).total
             b42 = lemma42_bound(surf.graph, R).total
             ok &= b41 >= area and b42 >= area

@@ -13,7 +13,6 @@ from ektau.balls import (
     MC_CHUNK,
     BallSpec,
     _chunk_rng,
-    ball_membership,
     bounding_cylinder,
     comparison_cylinder_volume,
     in_ball,
@@ -161,7 +160,8 @@ class TestMembership:
 
 
 class TestBallMembership:
-    """ball_membership against the distance solver, one space at a time."""
+    """ball_distance with a radius (membership) against the distance solver
+    and against ball_distance without one, one space at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -182,13 +182,16 @@ class TestBallMembership:
             # checked by TestMembership::test_nil_point_near_the_plane
             return
         d = distance(sp, ORIGIN, PointE(rho * math.cos(angle), rho * math.sin(angle), z))
-        assert math.isclose(float(ball_distance(sp, rho, z)), d, rel_tol=1e-8, abs_tol=1e-10)
+        d_ball = float(ball_distance(sp, rho, z))
+        assert math.isclose(d_ball, d, rel_tol=1e-8, abs_tol=1e-10)
         if abs(d - radius) > 1e-7 * radius:
-            assert bool(ball_membership(sp, rho, z, radius)) == (d < radius)
+            assert bool(ball_distance(sp, rho, z, radius=radius)) == (d < radius)
+        if abs(d_ball - radius) > 1e-12 * radius:
+            assert bool(ball_distance(sp, rho, z, radius=radius)) == (d_ball < radius)
         # the sphere through the point, crossed from both sides, whenever d is a
         # normal float (below that, distance() itself has lost relative precision)
         for R in (d * (1.0 + 1e-6), d * (1.0 - 1e-6)) if d >= sys.float_info.min else ():
-            vec = ball_membership(sp, np.array([rho, rho]), np.array([z, -z]), R)
+            vec = ball_distance(sp, np.array([rho, rho]), np.array([z, -z]), radius=R)
             assert vec.tolist() == [d < R] * 2
 
     @pytest.mark.parametrize("space", [(0.0, 0.0), (-1.0, 0.0)])
@@ -200,12 +203,12 @@ class TestBallMembership:
         d = float(ball_distance(sp, rho, z))
         assert d > 0.0 and math.isfinite(d)
         for R in (d * (1.0 + 1e-6), d * (1.0 - 1e-6)):
-            vec = ball_membership(sp, np.array([rho, rho]), np.array([z, -z]), R)
+            vec = ball_distance(sp, np.array([rho, rho]), np.array([z, -z]), radius=R)
             assert vec.tolist() == [d < R] * 2
 
     def test_sl2_rejected(self):
         with pytest.raises(UnsupportedSpaceError):
-            ball_membership(SpaceParams(-1.0, 1.0), np.array([0.1]), np.array([0.0]), 1.0)
+            ball_distance(SpaceParams(-1.0, 1.0), np.array([0.1]), np.array([0.0]), radius=1.0)
         with pytest.raises(UnsupportedSpaceError):
             ball_distance(SpaceParams(-1.0, 1.0), np.array([0.1]), np.array([0.0]))
 

@@ -171,6 +171,12 @@ class TestGrowth:
             exact = 2.0 * math.pi / 3.0 * ((1.0 + R * R) ** 1.5 - 1.0)
             assert abs(area / exact - 1.0) < 1e-5
 
+    @pytest.mark.parametrize("family", ["sphere", "extrinsic_ball"])
+    def test_unknown_family_exits_2(self, capsys, family):
+        code, out, err = run_cli(capsys, "growth", "--family", family)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: family must be extrinsic, intrinsic or cylinder")
+
     @pytest.mark.parametrize("example,code", [
         ("umbrella", EXIT_OK), ("plane", EXIT_OK), ("fmp", EXIT_OK),
         ("catenoid", EXIT_OK), ("ideal-polygon", EXIT_USAGE),

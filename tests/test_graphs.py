@@ -300,6 +300,25 @@ class TestLemmaBounds:
             assert b42.total >= area
             assert b41.boundary_value_term == 0.0
 
+    def test_sl2_umbrella_bounds_dominate_closed_form(self):
+        surf = umbrella(SpaceParams(-1.0, 1.0))
+        for R in (1.0, 2.0, 4.0):
+            area = surf.closed_forms["extrinsic_area"](R)
+            assert lemma41_bound(surf.graph, R).total >= area
+            assert lemma42_bound(surf.graph, R).total >= area
+
+    @pytest.mark.parametrize("surface", ["fmp", "catenoid"])
+    def test_bounds_share_their_terms(self, surface):
+        # the catenoid's one arc, its neck, has finite values: Lemma 4.2 adds
+        # its length to the height term, where Lemma 4.1 integrates |u| = 0
+        g = {"fmp": fmp_surface(1.0, 0.0), "catenoid": catenoid(1.0, 1.0)}[surface].graph
+        R, h = 4.0, 2.5
+        b41, b42 = lemma41_bound(g, R, h=h), lemma42_bound(g, R, h=h)
+        assert b42.interior_term == b41.area_term + b41.z_term
+        neck = 2.0 * math.pi if surface == "catenoid" else 0.0
+        assert math.isclose(b42.height_term, b41.height_term + h * neck, rel_tol=1e-6)
+        assert b41.boundary_value_term == pytest.approx(0.0, abs=1e-6)
+
     def test_bounds_monotone_in_radius(self):
         g = fmp_surface(1.0, 0.0).graph
         totals = [lemma42_bound(g, R).total for R in (1.0, 2.0, 3.0, 4.0)]
@@ -307,8 +326,8 @@ class TestLemmaBounds:
 
     def test_explicit_height_callable(self):
         g = umbrella(SpaceParams(0.0, 1.0)).graph
-        b_small = lemma42_bound(g, 2.0, h=lambda R: 0.0)
-        b_big = lemma42_bound(g, 2.0, h=lambda R: 10.0)
+        b_small = lemma42_bound(g, 2.0, h=0.0)
+        b_big = lemma42_bound(g, 2.0, h=10.0)
         assert b_small.height_term == 0.0
         assert b_big.total > b_small.total
 

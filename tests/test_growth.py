@@ -11,12 +11,11 @@ from scipy.stats import linregress
 
 from ektau import growth, surfaces
 from ektau.core import SpaceParams, base_disk_model_radius
-from ektau.balls import ball_membership, volume_growth_fit
+from ektau.balls import volume_growth_fit
 from ektau.errors import ConvergenceError, HypothesisViolationError, UnsupportedSpaceError
 from ektau.geodesics import ball_distance
 from ektau.graphs import BaseDomain, GraphSurface, _quad_limits, graph_area
 from ektau.growth import (
-    RegionFamily,
     _extrinsic_area,
     _induced_metric,
     _intrinsic_distances,
@@ -25,7 +24,6 @@ from ektau.growth import (
     collin_krust_sweep,
     growth_verdict,
     intrinsic_area_table,
-    region_area,
     region_areas,
     table1_suite,
 )
@@ -71,9 +69,9 @@ def _coo_intrinsic_distances(g, L, n, limit=np.inf):
 
 def _bisection_ray_stops(g, R, theta, r_lo, r_hi, n_bisect=48):
     """Oracle ray stops: boolean bisection on ball membership along each ray."""
-    member = lambda r: ball_membership(
+    member = lambda r: ball_distance(
         g.sp, np.hypot(r * np.cos(theta), r * np.sin(theta)),
-        g.u(r * np.cos(theta), r * np.sin(theta)), R)
+        g.u(r * np.cos(theta), r * np.sin(theta)), radius=R)
     lo, hi = np.full_like(theta, r_lo), np.full_like(theta, r_hi)
     for _ in range(n_bisect):
         mid = 0.5 * (lo + hi)
@@ -92,34 +90,37 @@ def _tilted_product_graph():
 
 class TestRegionFamilies:
     def test_tag_validation(self):
-        with pytest.raises(ValueError):
-            RegionFamily("sphere")
+        # only the three plain names select a family
+        for family in ("sphere", "extrinsic_ball", "Cylinder", ""):
+            with pytest.raises(ValueError, match="family must be"):
+                region_areas(fmp_surface(1.0, 0.0), family, [2.0])
 
     def test_umbrella_families_coincide(self):
         surf = umbrella(SpaceParams(0.0, 1.0))
         R = 2.0
         exact = _umbrella_area_nil(1.0, R)
-        for tag in ("cylinder", "extrinsic_ball", "intrinsic_ball"):
-            area = region_area(surf, RegionFamily(tag), R)
-            assert math.isclose(area, exact, rel_tol=1e-6), tag
+        for family in ("cylinder", "extrinsic", "intrinsic"):
+            (area,) = region_areas(surf, family, [R])
+            assert math.isclose(area, exact, rel_tol=1e-6), family
 
     def test_umbrella_extrinsic_without_flag(self):
         # drop the structural flag so the generic ray-membership path runs
         surf = umbrella(SpaceParams(0.0, 1.0))
         R = 2.0
-        area = region_area(surf.graph, RegionFamily("extrinsic_ball"), R)
+        (area,) = region_areas(surf.graph, "extrinsic", [R])
         assert math.isclose(area, _umbrella_area_nil(1.0, R), rel_tol=1e-4)
 
     def test_cylinder_area_monotone(self):
         surf = fmp_surface(1.0, 0.0)
-        fam = RegionFamily("cylinder")
-        areas = [region_area(surf, fam, R) for R in (1.0, 2.0, 4.0)]
+        areas = region_areas(surf, "cylinder", [1.0, 2.0, 4.0])
         assert areas[0] < areas[1] < areas[2]
 
-    def test_intrinsic_table_raises_when_not_converged(self):
+    def test_intrinsic_table_raises_when_not_converged(self, monkeypatch):
         g = umbrella(SpaceParams(0.0, 1.0)).graph
+        monkeypatch.setattr(growth, "INTRINSIC_BASE_N", 5)
+        monkeypatch.setattr(growth, "INTRINSIC_STABILITY", 0.0)
         with pytest.raises(ConvergenceError) as info:
-            intrinsic_area_table(g, [1.0, 2.0], n0=5, stability=0.0)
+            intrinsic_area_table(g, [1.0, 2.0])
         # best holds the finest of the four levels, n = 5, 9, 17, 33
         dist, area_w, cell = _intrinsic_distances(g, 2.0, 33)
         finest = [np.sum(area_w[dist <= R]) * cell for R in (1.0, 2.0)]
@@ -142,11 +143,11 @@ class TestRegionFamilies:
         (area,) = intrinsic_area_table(g, [3.0])
         assert math.isclose(area, graph_area(g, 2.0).value, rel_tol=0.01)
 
-    @pytest.mark.parametrize("tag", ["cylinder", "extrinsic_ball"])
+    @pytest.mark.parametrize("family", ["cylinder", "extrinsic"])
     @pytest.mark.parametrize("R", [0.5, 1.0])
-    def test_region_inside_the_neck_has_area_0(self, tag, R):
+    def test_region_inside_the_neck_has_area_0(self, family, R):
         # the catenoid with neck 1 lies over r > 1: D_R and B_R(0) miss it
-        assert region_area(catenoid(1.0, 1.0), RegionFamily(tag), R) == 0.0
+        assert region_areas(catenoid(1.0, 1.0), family, [R]) == [0.0]
 
     def test_extrinsic_area_rejects_sl2(self):
         # u = x is no umbrella, so the ambient-ball path runs and needs a distance
@@ -155,7 +156,7 @@ class TestRegionFamilies:
         with pytest.raises(UnsupportedSpaceError):
             _extrinsic_area(g, 1.0)
         with pytest.raises(UnsupportedSpaceError):
-            region_area(g, RegionFamily("extrinsic_ball"), 1.0)
+            region_areas(g, "extrinsic", [1.0])
 
     def test_intrinsic_table_close_to_exact_for_umbrella(self):
         g = umbrella(SpaceParams(0.0, 1.0)).graph
@@ -209,33 +210,32 @@ class TestRegionFamilies:
         assert np.array_equal(dist, expected)
         assert np.count_nonzero(np.isfinite(dist)) > n
 
-    @pytest.mark.parametrize("surface,tag", [
-        ("fmp", "cylinder"), ("catenoid", "extrinsic_ball"),
-        ("umbrella", "intrinsic_ball"), ("umbrella", "extrinsic_ball"),
+    @pytest.mark.parametrize("surface,family", [
+        ("fmp", "cylinder"), ("catenoid", "extrinsic"),
+        ("umbrella", "intrinsic"), ("umbrella", "extrinsic"),
     ])
-    def test_region_areas_match_region_area(self, surface, tag, monkeypatch):
+    def test_region_areas_match_one_radius_lists(self, surface, family, monkeypatch):
         surf = {"fmp": fmp_surface(1.0, 0.0), "catenoid": catenoid(1.0, 1.0),
                 "umbrella": umbrella(SpaceParams(0.0, 1.0))}[surface]
-        fam = RegionFamily(tag)
         radii = [3.0, 2.0, 4.0]
-        expected = [region_area(surf, fam, R) for R in radii]
+        expected = [region_areas(surf, family, [R])[0] for R in radii]
         # none of these is measured on a distance grid
         monkeypatch.setattr(growth, "_intrinsic_distances", None)
-        assert region_areas(surf, fam, radii) == expected
+        assert region_areas(surf, family, radii) == expected
 
     def test_region_areas_intrinsic_is_one_table(self):
         surf = fmp_surface(1.0, 0.0)
         radii = [3.0, 1.5, 2.0]
-        areas = region_areas(surf, RegionFamily("intrinsic_ball"), radii)
+        areas = region_areas(surf, "intrinsic", radii)
         assert areas == list(intrinsic_area_table(surf.graph, radii))
         assert all(type(a) is float for a in areas)
 
     def test_ordering_invariant_fmp(self):
         surf = fmp_surface(1.0, 0.0)
         for R in (2.0, 4.0):
-            intr = region_area(surf, RegionFamily("intrinsic_ball"), R)
-            extr = region_area(surf, RegionFamily("extrinsic_ball"), R)
-            cyl = region_area(surf, RegionFamily("cylinder"), R)
+            (intr,) = region_areas(surf, "intrinsic", [R])
+            (extr,) = region_areas(surf, "extrinsic", [R])
+            (cyl,) = region_areas(surf, "cylinder", [R])
             assert intr <= extr * 1.02
             assert extr <= cyl * 1.02
 
@@ -410,7 +410,7 @@ class TestTableSuite:
     def test_umbrella_nil_row(self):
         (rep,) = table1_suite(["umbrella-nil"])
         assert rep.verdict == "consistent"
-        assert rep.family == "extrinsic_ball"
+        assert rep.family == "extrinsic"
         assert abs(rep.fit.power_exponent - 3.0) < 0.4
         assert len(rep.samples) == 6
 
@@ -424,7 +424,7 @@ class TestTableSuite:
 
         monkeypatch.setattr(growth, "_intrinsic_distances", counted)
         (rep,) = table1_suite(["fmp-intrinsic"])
-        assert rep.family == "intrinsic_ball" and len(rep.samples) == 6
+        assert rep.family == "intrinsic" and len(rep.samples) == 6
         assert 1 <= len(grid_sizes) <= 4
         assert grid_sizes == sorted(set(grid_sizes))
         lb = fmp_surface(1.0, 0.0).closed_forms["intrinsic_area_lower_bound"]

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ektau._quadrature import leggauss
-from ektau.core import BasePoint, SpaceParams
+from ektau.core import BasePoint, SpaceParams, base_disk_model_radius
 from ektau.errors import HypothesisViolationError
 from ektau.graphs import graph_area, mean_curvature
 from ektau.surfaces import (
@@ -43,6 +44,29 @@ class TestUmbrella:
         surf = umbrella(SpaceParams(0.0, 1.0))
         assert surf.minimal
         assert surf.extrinsic_equals_base_disk
+
+    @pytest.mark.parametrize("kappa,tau,R", [
+        (-1.0, 1.0, 3.0), (-1.0, 1.0, 8.0), (-0.5, 0.7, 2.0), (-4.0, 2.0, 5.0),
+        (-1.0, 1e-3, 3.0), (-1.0, 1.0, 0.1), (-1.0, 1e-9, 2.0),
+        # -kappa / tau^2 tiny: the two halves of F(S) - F(0) nearly cancel
+        (-1e-12, 1.0, 3.0), (-1e-6, 1.0, 0.5),
+    ])
+    def test_sl2_closed_form_matches_radial_quadrature(self, kappa, tau, R):
+        # the area is 2 pi int_0^rho sqrt(1 + tau^2 r^2) r / (1 + kappa r^2 / 4)^2 dr,
+        # rho the model radius of the base disk D_R: an adaptive 1-D rule, not
+        # the 2-D annulus quadrature that graph_area runs
+        sp = SpaceParams(kappa, tau)
+        rho = base_disk_model_radius(sp, R)
+        ref, _ = quad(lambda r: 2.0 * math.pi * math.sqrt(1.0 + tau * tau * r * r) * r
+                      / (1.0 + 0.25 * kappa * r * r) ** 2, 0.0, rho, epsabs=0.0, epsrel=1e-13)
+        area = umbrella(sp).closed_forms["extrinsic_area"](R)
+        assert math.isclose(area, ref, rel_tol=1e-11)
+
+    @pytest.mark.parametrize("kappa,tau,R", [(-1.0, 1.0, 3.0), (-4.0, 2.0, 2.0)])
+    def test_sl2_graph_area_matches_closed_form(self, kappa, tau, R):
+        sp = SpaceParams(kappa, tau)
+        area = graph_area(umbrella(sp).graph, base_disk_model_radius(sp, R)).value
+        assert math.isclose(area, umbrella(sp).closed_forms["extrinsic_area"](R), rel_tol=1e-8)
 
     def test_hyperbolic_leading_coefficient(self):
         # area(R) ~ coeff * exp(sqrt(-kappa) R) as R grows
