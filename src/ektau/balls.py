@@ -12,11 +12,21 @@ a point or a sample is its horizontal radius and height only, and
 module decides no distance itself: its only space tests are the volume
 density of ``mc_volume`` and the kappa < 0, tau > 0 guard of
 ``sl2_volume_bracket``.
+
+When the process may run on two or more CPUs, Monte Carlo chunks draw
+their radius row on one persistent helper thread, started on first use,
+while the calling thread draws the height row (the caller draws the
+radius row too if the helper has not started it by then).  Each row has
+its own counter-based generator, so the samples are bit-identical to a
+serial draw.  A child made by ``fork()`` starts a helper of its own.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +131,63 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk]))
 
 
-def _sample_cylinder(seed, chunk, out, disk_r, height):
+_row_jobs: queue.SimpleQueue | None = None  # the helper's inbox, None until first use
+_row_jobs_lock = threading.Lock()
+
+
+def _fill_rows(jobs: queue.SimpleQueue) -> None:
+    """Helper thread: run each job, holding none of its arrays between jobs."""
+    while True:
+        _fill_row(*jobs.get())
+
+
+def _fill_row(seed, chunk, row, claim, reply) -> None:
+    """Fill row with the chunk's first draws and reply with None, or with the
+    exception the fill raised.  A job whose claim the caller took first is
+    skipped: the caller drew the row."""
+    if not claim.acquire(blocking=False):
+        return
+    try:
+        _chunk_rng(seed, chunk).random(out=row)
+    except Exception as exc:  # raised again on the waiting caller
+        reply.put(exc)
+    else:
+        reply.put(None)
+
+
+def _helper_jobs() -> queue.SimpleQueue:
+    """The helper thread's inbox; the thread is started on first use."""
+    global _row_jobs
+    with _row_jobs_lock:
+        if _row_jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_fill_rows, args=(jobs,), name="ektau-mc-rows",
+                             daemon=True).start()
+            _row_jobs = jobs
+        return _row_jobs
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread: let it start its own, under a
+    fresh lock, since another thread may have held the lock at the fork."""
+    global _row_jobs, _row_jobs_lock
+    _row_jobs, _row_jobs_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on, by its affinity mask.  A cgroup CPU
+    quota is not detected: a process held to one CPU's time on a many-core
+    host counts the host's CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sample_cylinder(seed, chunk, out, disk_r, height, use_helper):
     """Fill the rows (rho, z) of out with uniform Lebesgue samples in the
     model cylinder and return them.
 
@@ -130,20 +196,46 @@ def _sample_cylinder(seed, chunk, out, disk_r, height):
     is not needed, so the height row is drawn from a second generator whose
     counter starts at the block holding word 2n, after discarding the words
     of that block before it.  Both rows, and with them every published
-    volume, are bit-identical to a (3, n) draw.
+    volume, are bit-identical to a (3, n) draw.  With use_helper the
+    radius row is offered to the helper thread while this thread draws the
+    height row (numpy releases the GIL during a fill).  Whichever thread
+    takes the job's claim first fills the row, so a helper that has not
+    been scheduled by then never delays the chunk, and an exception of the
+    helper's fill is raised here.  Without it (one CPU, where the two fills
+    would only take turns) both run here.  The rest runs here once both
+    rows are drawn.
     """
-    n = out.shape[1]
     rho, z = out
-    _chunk_rng(seed, chunk).random(out=rho)
-    bits = np.random.Philox(key=[seed, chunk], counter=(2 * n) // 4)
-    bits.random_raw((2 * n) % 4)
-    np.random.Generator(bits).random(out=z)
+    if not use_helper:
+        _chunk_rng(seed, chunk).random(out=rho)
+        _height_row(seed, chunk, z)
+    else:
+        claim = threading.Lock()
+        reply = queue.SimpleQueue()  # one per call, so a reply left by an interrupted wait is never read
+        _helper_jobs().put((seed, chunk, rho, claim, reply))
+        try:
+            _height_row(seed, chunk, z)
+        finally:
+            here = claim.acquire(blocking=False)
+            err = None if here else reply.get()  # the helper writes rho until it replies
+        if here:
+            _chunk_rng(seed, chunk).random(out=rho)
+        elif err is not None:
+            raise err
     np.sqrt(rho, out=rho)
     rho *= disk_r
     z *= 2.0
     z -= 1.0
     z *= height
     return rho, z
+
+
+def _height_row(seed, chunk, z):
+    """Fill z with the chunk's height draws, words 2n to 3n - 1 of its stream."""
+    n = z.shape[0]
+    bits = np.random.Philox(key=[seed, chunk], counter=(2 * n) // 4)
+    bits.random_raw((2 * n) % 4)
+    np.random.Generator(bits).random(out=z)
 
 
 def comparison_cylinder_volume(tau: float, R: float) -> float:
@@ -158,7 +250,8 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     ball to the one of the same radius at the origin.  Samples are drawn
     uniformly in the bounding cylinder in fixed-size chunks with
     counter-based per-chunk RNG streams, so the result does not depend on
-    how chunks are scheduled.  The integrand is the model volume
+    how chunks are scheduled, nor on which thread draws each chunk's
+    radius row (``_sample_cylinder``).  The integrand is the model volume
     density lambda^2 times the ball indicator (the density is 1 for
     kappa = 0); the standard error is the sample standard deviation of that
     integrand, which reduces to the binomial-proportion formula when the
@@ -176,9 +269,10 @@ def mc_volume(ball: BallSpec, n_samples: int, seed: int) -> VolumeEstimate:
     n_done = 0
     chunk = 0
     buf = np.empty((2, min(MC_CHUNK, n_samples)))
+    use_helper = _cpu_count() >= 2
     while n_done < n_samples:
         n = min(MC_CHUNK, n_samples - n_done)
-        rho, z = _sample_cylinder(seed, chunk, buf[:, :n], disk_r, height)
+        rho, z = _sample_cylinder(seed, chunk, buf[:, :n], disk_r, height, use_helper)
         hit = ball_distance(sp, rho, z, radius=R)
         if sp.is_product:  # kappa < 0, tau = 0
             lam = 1.0 / _mu(sp, rho)

@@ -17,7 +17,9 @@ argument the library rejects with ValueError, and a config or output file
 that cannot be opened) or a space the command does not support,
 3 hypothesis violation, 4 numerical failure (floating-point overflow,
 division by zero and invalid operations included).  All work runs in the
-calling thread, and output is bit-identical for identical parameters and seed.
+calling thread, except that with two or more CPUs one helper thread draws
+the radius rows of Monte Carlo samples; output is bit-identical for
+identical parameters and seed, whatever the number of CPUs.
 
 The argument parser is built once per process, on first use, and never
 mutated; config values are applied on a fresh parser.  Importing this

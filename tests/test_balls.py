@@ -1,7 +1,14 @@
 """Tests for ball volumes: membership, Monte Carlo, brackets, growth fits."""
 
 import math
+import os
+import queue
+import signal
 import sys
+import threading
+import time
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from ektau.core import PointE, SpaceParams
 from ektau.errors import ModelDomainError, UnsupportedSpaceError
+from ektau import balls
 from ektau.balls import (
     MC_CHUNK,
     BallSpec,
     _chunk_rng,
+    _sample_cylinder,
     bounding_cylinder,
     comparison_cylinder_volume,
     in_ball,
@@ -383,6 +392,148 @@ class TestGoldenVolumes:
         # Nil3 rows: 2 tau R below pi, then above, where the height formula switches
         est = mc_volume(BallSpec(SpaceParams(*space), ORIGIN, R), n_samples, seed)
         assert (est.value, est.std_error) == (value, std_error)
+
+
+GOLDEN = ((0.0, 1.0), 1.2, 65_539, 7, 7.9022593600706825, 0.018876032317872788)  # a TestGoldenVolumes row
+
+
+def golden_volume():
+    space, R, n_samples, seed, value, std_error = GOLDEN
+    est = mc_volume(BallSpec(SpaceParams(*space), ORIGIN, R), n_samples, seed)
+    return (est.value, est.std_error), (value, std_error)
+
+
+class FillFault(Exception):
+    """Raised by a stand-in radius row fill."""
+
+
+def faulty_fill(out):
+    raise FillFault("raised where the radius row is drawn")
+
+
+class TestRowHelper:
+    """With two or more CPUs the radius row of each chunk is offered to a
+    helper thread, and whichever of it and the caller claims the row first
+    draws it; the tests pretend to have two CPUs, except where they say."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(balls, "_cpu_count", lambda: 2)
+
+    @staticmethod
+    def radius_threads(monkeypatch, helper_first, fill=None):
+        """The threads that draw radius rows, in order.  With helper_first
+        the caller draws a height row only once a thread has taken the
+        radius row, which the caller then cannot claim; fill(out) replaces
+        the radius row's draw."""
+        real_rng, real_height_row = balls._chunk_rng, balls._height_row
+        threads, taken = [], threading.Semaphore(0)
+
+        def chunk_rng(seed, chunk):
+            threads.append(threading.current_thread())
+            taken.release()
+            return real_rng(seed, chunk) if fill is None else SimpleNamespace(random=fill)
+
+        def height_row(seed, chunk, z):
+            assert taken.acquire(timeout=10.0), "no thread took the radius row"
+            real_height_row(seed, chunk, z)
+
+        monkeypatch.setattr(balls, "_chunk_rng", chunk_rng)
+        if helper_first:
+            monkeypatch.setattr(balls, "_height_row", height_row)
+        return threads
+
+    @pytest.mark.parametrize("mode", ["helper", "helper asleep", "one cpu"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 65_535, 65_536])
+    def test_rows_are_rows_0_and_2_of_the_3n_draw(self, monkeypatch, n, mode):
+        seed, chunk, disk_r, height = 17, 3, 1.0, 0.5  # scalings that keep the draws exact
+        u = _chunk_rng(seed, chunk).random((3, n))
+        if mode == "helper asleep":  # nothing reads the jobs, so the caller claims them
+            monkeypatch.setattr(balls, "_helper_jobs", queue.SimpleQueue)
+        elif mode == "one cpu":  # no job is offered
+            monkeypatch.setattr(balls, "_helper_jobs", None)
+        threads = self.radius_threads(monkeypatch, helper_first=mode == "helper")
+        out = np.full((2, n), np.nan)
+        caller = threading.Thread(target=_sample_cylinder,
+                                  args=(seed, chunk, out, disk_r, height, mode != "one cpu"),
+                                  daemon=True)
+        caller.start()
+        caller.join(timeout=10.0)
+        assert not caller.is_alive(), "the chunk waits for a helper that never runs"
+        assert np.array_equal(out[0], np.sqrt(u[0]))
+        assert np.array_equal(out[1], (2.0 * u[2] - 1.0) * height)
+        drawer, = threads
+        assert (drawer is caller) is (mode != "helper")
+
+    def test_one_cpu_draws_on_the_caller(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(balls, "_cpu_count", lambda: asked.append(1) or 1)
+        threads = self.radius_threads(monkeypatch, helper_first=False)
+        got, pinned = golden_volume()  # two chunks
+        assert got == pinned
+        assert threads == [threading.current_thread()] * 2
+        assert len(asked) == 1  # once per call, not per chunk
+
+    def test_helper_keeps_no_array(self, monkeypatch):
+        self.radius_threads(monkeypatch, helper_first=True)
+        out = np.empty((2, 1000))
+        _sample_cylinder(1, 0, out, 1.0, 1.0, True)
+        gone = weakref.ref(out)
+        del out
+        deadline = time.monotonic() + 10.0
+        while gone() is not None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert gone() is None
+
+    def test_no_thread_leaks(self):
+        before = threading.active_count()
+        ball = BallSpec(SpaceParams(0.0, 0.0), ORIGIN, 1.0)
+        for i in range(50):
+            mc_volume(ball, 1000 + 3000 * i, seed=i)
+        assert threading.active_count() <= before + 1
+
+    @pytest.mark.parametrize("fill,error", [
+        (lambda out: np.random.default_rng(0).random(out=out.astype(np.float32)), TypeError),
+        (faulty_fill, FillFault),
+    ], ids=["float32 row", "own class"])
+    def test_helper_error_reaches_the_caller(self, monkeypatch, fill, error):
+        with monkeypatch.context() as m:
+            threads = self.radius_threads(m, helper_first=True, fill=fill)
+            ball = BallSpec(SpaceParams(0.0, 1.0), ORIGIN, 1.2)
+            with pytest.raises(error) as info:
+                mc_volume(ball, 70_000, seed=7)
+        assert info.type is error
+        assert len(threads) == 1 and threads[0] is not threading.current_thread()
+        got, pinned = golden_volume()
+        assert got == pinned
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_starts_its_own_helper(self, monkeypatch):
+        got, pinned = golden_volume()  # the helper runs in this process now
+        assert got == pinned
+        threads = self.radius_threads(monkeypatch, helper_first=True)
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(r)
+                got = golden_volume()[0]
+                if threading.current_thread() not in threads:
+                    os.write(w, repr(got).encode())
+            finally:
+                os._exit(0)
+        os.close(w)
+        deadline = time.monotonic() + 30.0
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(r)
+                pytest.fail("mc_volume in the forked child did not finish within 30 s")
+            time.sleep(0.01)
+        with os.fdopen(r, "rb") as f:
+            assert f.read() == repr(pinned).encode()
 
 
 class TestSl2Bracket:
