@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ConvergenceError, ModelDomainError, FloatingPointError) as exc:
+    except (ConvergenceError, ModelDomainError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

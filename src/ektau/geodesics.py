@@ -38,6 +38,7 @@ __all__ = [
     "zeta_r",
     "zeta_r_prime",
     "zeta_critical_points",
+    "nil_sphere_bounds",
     "sl2_max_height_bound",
     "ball_height",
     "delta_alpha",
@@ -60,6 +61,10 @@ _REDUCTION_TINY = 2.0**-60  # relative size below which a closed form is exact t
 _SHOOTING_MIN = 1e-3  # rho + |z| below which the shooting solver's absolute tolerance is too coarse
 _ZETA_N_GRID = 4096  # grid points bracketing the roots of zeta_r'
 _UPPER_BOUND_QUAD = 96  # Gauss-Legendre order of the lifted-segment length
+_SPHERE_BINS = 1024  # uniform rho-bins of nil_sphere_bounds
+_SPHERE_GRID = 4096  # u-steps bracketing the bin edges before their Newton steps
+_SPHERE_NEWTON = 4  # Newton steps, from 2^-12 to full precision
+_SPHERE_MARGIN = 1e-9  # relative widening of the bin bounds, far above their rounding
 
 
 @dataclass(frozen=True)
@@ -364,8 +369,9 @@ def zeta_r(tau: float, R: float, s) -> float:
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0) or np.any(s > 2.0 * tau * R + 1e-12):
         raise ValueError("s must lie in (0, 2 tau R]")
-    q = 4.0 * tau**2 * R**2
-    val = (s * (s**2 + q) + (s**2 - q) * np.sin(s)) / (4.0 * tau * s**2)
+    # (s (s^2 + q) + (s^2 - q) sin s) / (4 tau s^2) with q = 4 tau^2 R^2, in a
+    # form that never squares tau R alone, which would overflow first
+    val = s / (2.0 * tau) + ((2.0 * tau * R / s) ** 2 - 1.0) * (s - np.sin(s)) / (4.0 * tau)
     return float(val) if val.ndim == 0 else val
 
 
@@ -402,6 +408,53 @@ def zeta_critical_points(tau: float, R: float) -> np.ndarray:
     if roots.size:
         roots = roots[np.abs(np.cos(roots) + 1.0) > 1e-9]
     return roots
+
+
+def nil_sphere_bounds(tau: float, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds of the height of the Nil3(tau) sphere of radius R
+    over the _SPHERE_BINS uniform bins of [0, R) in the horizontal radius.
+
+    A point at radius rho in bin k = floor(rho _SPHERE_BINS / R) is in the
+    open ball B_R(0) if |z| < lower[k], and outside if |z| >= upper[k].
+    The ball is R times the unit ball of Nil3(t), t = tau R, whose sphere is
+    rho(u)^2 = (sin u / u)^2 (1 - (u/t)^2), z(u) = zeta_r(t, 1, 2u) for
+    u in (0, min(pi, t)) (Marenich 1997).  rho decreases in u, and z rises
+    up to u = pi/2, where it reaches nil_max_height, and falls after it; so
+    each bin is bounded by the heights at its edges, except the bin of
+    rho(pi/2) and its neighbours, whose upper bound is the peak.  Each
+    edge's u is bracketed on a uniform grid of u, then refined by Newton
+    steps.  The bounds are widened by a relative 1e-9; where they would not
+    be finite or would fall below the normal range, lower is 0 and upper
+    inf, which decide nothing.
+    """
+    n = _SPHERE_BINS
+    t = tau * R
+    u_max = min(math.pi, t)
+    undecided = np.zeros(n), np.full(n, np.inf)
+    with np.errstate(all="ignore"):
+        target = (np.arange(1, n) / n) ** 2  # (rho / R)^2 at the interior edges
+        grid = np.linspace(0.0, u_max, _SPHERE_GRID + 1)
+        rho2 = (np.sin(grid[1:]) / grid[1:]) ** 2 * (1.0 - (grid[1:] / t) ** 2)
+        i = np.searchsorted(-np.append(1.0, rho2), -target)  # rho2 decreases
+        lo, hi = grid[i - 1], grid[i]
+        u = 0.5 * (lo + hi)
+        for _ in range(_SPHERE_NEWTON):
+            sinc, w = np.sin(u) / u, 1.0 - (u / t) ** 2
+            slope = 2.0 * sinc * ((np.cos(u) - sinc) / u * w - sinc * (u / t) / t)
+            u = np.clip(u - (sinc * sinc * w - target) / slope, lo, hi)
+        if not np.all(u > 0.0):  # t underflows, or the solve failed
+            return undecided
+        peak = 2.0 * t > math.pi
+        z = R * zeta_r(t, 1.0, 2.0 * np.concatenate(([u_max], u, [0.5 * math.pi] if peak else [])))
+        edges = np.append(z[:n], 0.0)  # heights at rho = 0, R/n, ..., R
+        lower = np.minimum(edges[:-1], edges[1:]) * (1.0 - _SPHERE_MARGIN)
+        upper = np.maximum(edges[:-1], edges[1:]) * (1.0 + _SPHERE_MARGIN)
+        if peak:  # rho(pi/2) lies in bin k, the number of interior edges with u >= pi/2
+            k = int(np.count_nonzero(u >= 0.5 * math.pi))
+            upper[max(k - 1, 0):k + 2] = z[n] * (1.0 + _SPHERE_MARGIN)
+    if not (np.all(np.isfinite(upper)) and np.all(lower[:-1] >= np.finfo(float).tiny)):
+        return undecided
+    return lower, upper
 
 
 def sl2_max_height_bound(sp: SpaceParams, R: float) -> float:

@@ -21,6 +21,7 @@ from ektau.balls import (
     MC_CHUNK,
     BallSpec,
     _chunk_rng,
+    _nil_membership,
     _sample_cylinder,
     bounding_cylinder,
     comparison_cylinder_volume,
@@ -36,6 +37,7 @@ from ektau.geodesics import (
     nil_distance_reduced,
     nil_group_translate,
     nil_max_height,
+    nil_sphere_bounds,
 )
 
 ORIGIN = PointE(0.0, 0.0, 0.0)
@@ -224,7 +226,9 @@ class TestBallMembership:
 
 class TestNilProfile:
     """The Nil3 ball as a solid of revolution: exact membership by the
-    one-dimensional geodesic reduction."""
+    one-dimensional geodesic reduction, and Monte Carlo membership from the
+    sphere's bin bounds (``nil_sphere_bounds``), which settle all but the
+    samples next to the sphere and pass those to the reduction."""
 
     def test_axis_height_is_exact(self):
         # on the axis the ball of radius 4 reaches (16 + pi^2) / (2 pi) = 4.117,
@@ -262,6 +266,50 @@ class TestNilProfile:
             assert inside == (d < R), (r, h, d)
             checked += 1
         assert checked > 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau=st.floats(0.1, 10.0), tau_r=st.floats(0.1, 40.0), seed=st.integers(0, 2**31))
+    def test_chunk_membership_is_ball_distance(self, tau, tau_r, seed):
+        """The lookup returns ball_distance's answer for every sample of a
+        chunk, and passes fewer than 1 % of them to it."""
+        sp, R = SpaceParams(0.0, tau), tau_r / tau
+        disk_r, height = bounding_cylinder(BallSpec(sp, ORIGIN, R))
+        rho, z = _sample_cylinder(seed, 0, np.empty((2, 20_000)), disk_r, height, False)
+        passed = []
+
+        def counting(sp, rho, z, radius=None):
+            passed.append(rho.size)
+            return ball_distance(sp, rho, z, radius=radius)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(balls, "ball_distance", counting)
+            hit = _nil_membership(nil_sphere_bounds(tau, R), sp, R, rho, z)
+        assert np.array_equal(hit, ball_distance(sp, rho, z, radius=R))
+        assert sum(passed) < 0.01 * rho.size
+
+    @pytest.mark.parametrize("tau,R", [(1e-300, 1.0), (1e-150, 1e5), (1.0, 1e50),
+                                       (1e150, 1e-150), (1e5, 1e-5), (1e-5, 1e150)])
+    def test_extreme_spaces_decide_no_sample_wrongly(self, tau, R):
+        sp = SpaceParams(0.0, tau)
+        disk_r, height = bounding_cylinder(BallSpec(sp, ORIGIN, R))
+        rho, z = _sample_cylinder(3, 0, np.empty((2, 20_000)), disk_r, height, False)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            hit = _nil_membership(nil_sphere_bounds(tau, R), sp, R, rho, z)
+            assert np.array_equal(hit, ball_distance(sp, rho, z, radius=R))
+
+    def test_bounds_that_decide_nothing_pass_every_sample_on(self, monkeypatch):
+        sp, R = SpaceParams(0.0, 1.0), 2.0
+        rho, z = _sample_cylinder(5, 0, np.empty((2, 5000)), R, nil_max_height(1.0, R), False)
+        passed = []
+
+        def counting(sp, rho, z, radius=None):
+            passed.append(rho.size)
+            return ball_distance(sp, rho, z, radius=radius)
+
+        monkeypatch.setattr(balls, "ball_distance", counting)
+        hit = _nil_membership((np.zeros(16), np.full(16, np.inf)), sp, R, rho, z)
+        assert passed == [rho.size]
+        assert np.array_equal(hit, ball_distance(sp, rho, z, radius=R))
 
     def test_contains_is_vectorized(self):
         out = nil_distance_reduced(1.0, np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.5, 0.0]),
@@ -303,6 +351,29 @@ class TestMcVolume:
         assert est.value > 0.05 * comparison_cylinder_volume(tau, R)
         assert est.value < comparison_cylinder_volume(tau, R)
 
+    @pytest.mark.parametrize("tau,R,seed", [
+        (1.0, 0.8, 1), (1.0, 2.0, 2), (1.0, 4.0, 3), (0.5, 7.0, 4), (2.0, 3.0, 5), (3.0, 0.4, 6),
+    ])
+    def test_nil_volume_matches_the_exact_volume(self, tau, R, seed):
+        est = mc_volume(BallSpec(SpaceParams(0.0, tau), ORIGIN, R), 300_000, seed)
+        assert abs(est.value - exact_nil_volume(tau, R)) < 4.0 * est.std_error
+
+    def test_exact_nil_volume(self):
+        # small balls are Euclidean; large ones approach the sharpness
+        # constant V / (2 pi tau R^4) = 0.26994 at tau R = 10 and 0.26296 at 100
+        assert exact_nil_volume(1e-4, 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-7)
+        for tau, R, ratio in ((1.0, 10.0, 0.26994), (2.0, 50.0, 0.26296)):
+            v = exact_nil_volume(tau, R) / comparison_cylinder_volume(tau, R)
+            assert v == pytest.approx(ratio, abs=6e-6)
+        assert exact_nil_volume(0.5, 3.0) == pytest.approx(exact_nil_volume(1.0, 1.5) * 8.0,
+                                                           rel=1e-13)
+
+    @pytest.mark.parametrize("space,R", [((0.0, 1.0), 1e100), ((0.0, 0.0), 1e150),
+                                         ((-1.0, 0.0), 705.0)])
+    def test_bounding_volume_that_overflows_raises(self, space, R):
+        with pytest.raises(FloatingPointError):
+            mc_volume(BallSpec(SpaceParams(*space), ORIGIN, R), 1000, 0)
+
     def test_deterministic_and_chunk_layout_independent(self):
         ball = BallSpec(SpaceParams(0.0, 1.0), ORIGIN, 2.0)
         a = mc_volume(ball, 150_000, seed=9)
@@ -320,6 +391,21 @@ class TestMcVolume:
         ball = BallSpec(SpaceParams(-1.0, 1.0), ORIGIN, 1.0)
         with pytest.raises(UnsupportedSpaceError):
             mc_volume(ball, 10_000, seed=0)
+
+
+def exact_nil_volume(tau, R, nodes=96):
+    """Nil3 ball volume V = 2 pi int z(u) (-d rho^2/du) du over the sphere
+    rho(u)^2 = (sin u / u)^2 (R^2 - (u/tau)^2),
+    z(u) = u/tau + tau (R^2/u^2 - 1/tau^2) (2u - sin 2u) / 4, u in (0, min(pi, tau R)),
+    by Gauss-Legendre quadrature of the solid of revolution."""
+    u_max = min(math.pi, tau * R)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * u_max * (x + 1.0)
+    sinc = np.sin(u) / u
+    rho2_du = 2.0 * sinc * (np.cos(u) - sinc) / u * (R * R - (u / tau) ** 2) \
+        - 2.0 * sinc * sinc * u / (tau * tau)
+    z = u / tau + tau * (R * R / (u * u) - 1.0 / (tau * tau)) * (2.0 * u - np.sin(2.0 * u)) / 4.0
+    return math.pi * u_max * float(np.sum(w * z * -rho2_du))
 
 
 def reference_mc_volume(ball, n_samples, seed):
@@ -387,9 +473,13 @@ class TestGoldenVolumes:
         ((0.0, 2.0), 0.6, 65_537, 8, 0.992016374480191, 0.002351000797933196),
         ((0.0, 1.0), 2.5, 131_074, 11, 89.67286319949763, 0.11489224100993402),
         ((0.0, 0.5), 5.0, 65_539, 12, 719.6687528514858, 1.29223092135353),
+        ((0.0, 1.0), 4.0, 65_537, 13, 491.8403432634901, 0.8624655504912043),
+        ((0.0, 2.0), 3.0, 131_074, 14, 286.96210481286823, 0.36014553592779097),
+        ((0.0, 0.5), 8.0, 65_539, 15, 3940.229202106304, 6.880429816143697),
     ])
     def test_pinned(self, space, R, n_samples, seed, value, std_error):
-        # Nil3 rows: 2 tau R below pi, then above, where the height formula switches
+        # Nil3 rows: 2 tau R below pi, then above, where the height formula
+        # switches, then tau R above pi, where the sphere meets the axis at u = pi
         est = mc_volume(BallSpec(SpaceParams(*space), ORIGIN, R), n_samples, seed)
         assert (est.value, est.std_error) == (value, std_error)
 

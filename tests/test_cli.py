@@ -150,6 +150,19 @@ class TestBallVolume:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("space,radius", [
+        (("--tau", "1"), "1e200"),  # nil_max_height overflows
+        (("--tau", "1e300"), "1"),
+        (("--kappa", "-1", "--tau", "0"), "1000"),  # the base disk area overflows
+        (("--tau", "1"), "1e100"),  # the bounding cylinder's volume is infinite
+        (("--tau", "0"), "1e150"),
+    ])
+    def test_overflow_exits_4(self, capsys, space, radius):
+        code, out, err = run_cli(capsys, "ball-volume", *space, "--radii", radius,
+                                 "--samples", "1000")
+        assert code == EXIT_NUMERICAL
+        assert out == "" and err.startswith("numerical failure: ")
+
     def test_json_validates(self, capsys, schema):
         code, out, _ = run_cli(
             capsys, "ball-volume", "--format", "json", "--radii", "1,2",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ektau.core import FrameVector, PointE, SpaceParams, coord_to_frame
 import ektau.geodesics
@@ -12,6 +12,7 @@ from ektau.balls import BallSpec, in_ball
 from ektau.errors import ConvergenceError, ModelDomainError, UnsupportedSpaceError
 from ektau.geodesics import (
     GeodesicSpec,
+    ball_distance,
     delta_alpha,
     distance,
     distance_upper_bound,
@@ -25,6 +26,7 @@ from ektau.geodesics import (
     nil_group_translate,
     nil_max_height,
     nil_max_height_inverse,
+    nil_sphere_bounds,
     sl2_families,
     sl2_geodesic_closed,
     sl2_geodesic_velocity,
@@ -509,3 +511,85 @@ class TestNilReduction:
         monkeypatch.setattr(ektau.geodesics, "_REDUCTION_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             nil_distance_reduced(1.0, 1.0, 2.0)
+
+
+def _sphere_point(tau, R, u):
+    """(rho, z) of the Nil3 sphere of radius R at the parameter u (Marenich's
+    reduction on D(u) = R), written out independently of zeta_r."""
+    rho = np.sin(u) / u * np.sqrt(R * R - (u / tau) ** 2)
+    z = u / tau + tau * (R * R - (u / tau) ** 2) / (u * u) * (2.0 * u - np.sin(2.0 * u)) / 4.0
+    return rho, z
+
+
+class TestNilSphereBounds:
+    """The sphere's bin bounds decide a point only where ball_distance agrees."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(tau=st.floats(0.05, 20.0), tau_r=st.floats(0.05, 60.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(tau=1.0, tau_r=math.pi / 2 * (1.0 - 1e-12), seed=1)  # 2 tau R just below pi
+    @example(tau=1.0, tau_r=math.pi / 2 * (1.0 + 1e-12), seed=2)  # and just above
+    @example(tau=0.7, tau_r=math.pi * (1.0 - 1e-12), seed=3)  # the axis reached at u = tau R
+    @example(tau=0.7, tau_r=math.pi * (1.0 + 1e-9), seed=4)  # u -> pi next to the axis
+    @example(tau=3.0, tau_r=40.0, seed=5)
+    def test_decisions_agree_with_ball_distance(self, tau, tau_r, seed):
+        R = tau_r / tau
+        sp = SpaceParams(0.0, tau)
+        lower, upper = nil_sphere_bounds(tau, R)
+        n = lower.size
+        assert np.all(np.isfinite(upper)) and np.all(lower <= upper)
+
+        def decide(rho, z):
+            k = np.minimum((rho / R * n).astype(np.intp), n - 1)
+            return np.abs(z) < lower[k], np.abs(z) >= upper[k]
+
+        rng = np.random.default_rng(seed)
+        # uniform points of the bounding cylinder, and points next to the axis
+        rho = np.concatenate([R * np.sqrt(rng.random(3000)), R * rng.random(300) / n])
+        z = nil_max_height(tau, R) * rng.uniform(-1.0, 1.0, rho.size)
+        inside, outside = decide(rho, z)
+        truth = ball_distance(sp, rho, z, radius=R)
+        assert np.all(truth[inside]) and not np.any(truth[outside])
+        assert np.count_nonzero(inside | outside) > 0.95 * rho.size
+
+        # 1e-12 inside and outside the exact sphere, u -> pi included
+        u_max = min(math.pi, tau_r)
+        u = u_max * np.concatenate([rng.uniform(0.05, 0.999, 300), 1.0 - rng.random(20) / n])
+        rho_s, z_s = _sphere_point(tau, R, u)
+        for scale, side in ((1.0 - 1e-12, True), (1.0 + 1e-12, False)):
+            inside, outside = decide(rho_s, scale * z_s)
+            assert not np.any(inside | outside)
+            assert np.all(ball_distance(sp, rho_s, scale * z_s, radius=R) == side)
+
+    @pytest.mark.parametrize("tau,R", [(1.0, 1.2), (1.0, 2.0), (0.7, math.pi / 0.7 * (1.0 + 1e-9)),
+                                       (3.0, 10.0), (1e-3, 1.0), (0.5, 200.0)])
+    def test_bounds_hold_the_exact_edge_heights_with_their_margin(self, tau, R):
+        """Both bins at each edge hold its height, bisected here to rounding,
+        with half the 1e-9 margin to spare."""
+        lower, upper = nil_sphere_bounds(tau, R)
+        n = lower.size
+        target = np.arange(1, n) * (R / n)
+        lo, hi = np.zeros(n - 1), np.full(n - 1, min(math.pi, tau * R))
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            outer = _sphere_point(tau, R, mid)[0] > target
+            lo, hi = np.where(outer, mid, lo), np.where(outer, hi, mid)
+        z = _sphere_point(tau, R, 0.5 * (lo + hi))[1]
+        for bins in (slice(0, n - 1), slice(1, n)):  # the bins left and right of each edge
+            assert np.all(lower[bins] <= z * (1.0 - 5e-10))
+            assert np.all(upper[bins] >= z * (1.0 + 5e-10))
+
+    def test_peak_bin_reaches_the_maximum_height(self):
+        tau, R = 1.0, 4.0
+        lower, upper = nil_sphere_bounds(tau, R)
+        rho_peak = _sphere_point(tau, R, math.pi / 2)[0]
+        k = int(rho_peak / R * lower.size)
+        assert upper[k] >= nil_max_height(tau, R) > lower[k]
+        assert upper.max() == pytest.approx(nil_max_height(tau, R), rel=2e-9)
+
+    @pytest.mark.parametrize("tau,R", [(1e300, 1.0), (1.0, 1e300), (1e154, 1.0),
+                                       (1.0, 1e-310), (1e-320, 1e-310)])
+    def test_bounds_out_of_range_decide_nothing(self, tau, R):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            lower, upper = nil_sphere_bounds(tau, R)
+        assert not np.any(lower) and np.all(upper == np.inf)
