@@ -6,9 +6,11 @@ unknown config keys are rejected.  Output is RFC-4180-style CSV (LF line
 endings, '.' decimal) or JSON with stable key order validating against the
 schema shipped in ektau/schemas/output.schema.json.
 
-growth and collin-krust build the examples umbrella, plane, fmp and
-catenoid; the catenoid is the upper half-catenoid over the whole annulus
-r > --neck, so no flag truncates its domain.
+geodesic samples geodesics.closed_geodesic, the closed form through the
+origin, so its rows carry no integration error.  growth and collin-krust
+build the examples umbrella, plane, fmp and catenoid; the catenoid is the
+upper half-catenoid over the whole annulus r > --neck, so no flag
+truncates its domain.
 
 Exit codes: 0 success, 2 usage/validation error (including a nan or
 infinite numeric flag, geodesic --family or --a for kappa >= 0 and
@@ -16,7 +18,8 @@ geodesic --phi or --theta for kappa < 0, where they select nothing, an
 argument the library rejects with ValueError, and a config or output file
 that cannot be opened) or a space the command does not support,
 3 hypothesis violation, 4 numerical failure (floating-point overflow,
-division by zero and invalid operations included).  All work runs in the
+division by zero, invalid operations and a kappa < 0 geodesic that
+reaches the model rim included).  All work runs in the
 calling thread, except that with two or more CPUs one helper thread draws
 the radius rows of Monte Carlo samples; output is bit-identical for
 identical parameters and seed, whatever the number of CPUs.
@@ -24,9 +27,7 @@ identical parameters and seed, whatever the number of CPUs.
 The argument parser is built once per process, on first use, and never
 mutated; config values are applied on a fresh parser.  Importing this
 module loads numpy and ektau only: scipy is imported by the functions
-that call it, so geodesic and growth --family intrinsic load it on first
-use, while ball-volume, collin-krust and the extrinsic and cylinder growth
-families run without it.
+that call it, so only growth --family intrinsic loads it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import sys
 
 import numpy as np
 
-from .core import FrameVector, PointE, SpaceParams
+from .core import PointE, SpaceParams
 from .errors import (
     ConvergenceError,
     HypothesisViolationError,
@@ -47,13 +48,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .balls import BallSpec, mc_volume, volume_growth_fit
-from .geodesics import (
-    GeodesicSpec,
-    integrate_geodesic,
-    nil_geodesic_velocity,
-    sl2_geodesic_velocity,
-    sl2_families,
-)
+from .geodesics import closed_geodesic
 from .growth import collin_krust_sweep, growth_verdict, region_areas
 from .surfaces import catenoid, fmp_surface, umbrella, affine_plane
 
@@ -145,37 +140,23 @@ def cmd_geodesic(args) -> None:
     sp = SpaceParams(args.kappa, args.tau)
     if args.steps < 1:
         raise CliError("steps must be at least 1")
-    family, phi, theta = args.family, args.phi, args.theta
-    if sp.kappa < 0.0 and (phi is not None or theta is not None):
-        raise CliError("--phi and --theta select kappa>=0 directions only")
-    if sp.kappa >= 0.0:
-        if family is not None or args.a is not None:
-            raise CliError("--family and --a select kappa<0 families only")
-        phi = math.pi / 2 if phi is None else phi
-        theta = 0.0 if theta is None else theta
-    if sp.kappa == 0.0 and sp.tau > 0.0:
-        if not (0.0 <= phi <= math.pi):
-            raise CliError("phi must lie in [0, pi]")
-        v0 = nil_geodesic_velocity(sp.tau, phi, theta, 0.0)
-    elif sp.kappa < 0.0:
-        family = "horizontal" if family is None else family
-        if family not in sl2_families:
-            raise CliError(f"family must be one of {sl2_families}")
-        v0 = sl2_geodesic_velocity(sp, family, args.a, 0.0)
+    if sp.kappa < 0.0:
+        if args.phi is not None or args.theta is not None:
+            raise CliError("--phi and --theta select kappa>=0 directions only")
+        direction = {"family": "horizontal" if args.family is None else args.family, "a": args.a}
     else:
-        c, s = math.cos(theta), math.sin(theta)
-        v0 = FrameVector(c * math.sin(phi), s * math.sin(phi), math.cos(phi))
-    spec = GeodesicSpec(PointE(0.0, 0.0, 0.0), v0)
-    samples = integrate_geodesic(sp, spec, args.t_end, n_samples=args.steps + 1)
-    rows = []
-    for s_ in samples:
-        p, v = s_.point, s_.velocity
-        rows.append(
-            (s_.t, p.x, p.y, p.z, v.a1, v.a2, v.a3, abs(v.norm() - 1.0))
-        )
+        if args.family is not None or args.a is not None:
+            raise CliError("--family and --a select kappa<0 families only")
+        direction = {"phi": math.pi / 2 if args.phi is None else args.phi,
+                     "theta": 0.0 if args.theta is None else args.theta}
+    t = np.linspace(0.0, args.t_end, args.steps + 1)
+    (x, y, z), (a1, a2, a3) = closed_geodesic(sp, t, **direction)
+    drift = np.abs(np.sqrt(a1**2 + a2**2 + a3**2) - 1.0)
+    # + 0.0 turns the -0.0 that a closed form can give at t = 0 into 0.0
+    rows = (np.column_stack([t, x, y, z, a1, a2, a3, drift]) + 0.0).tolist()
     params = {
-        "kappa": args.kappa, "tau": args.tau, "phi": phi,
-        "theta": theta, "family": family, "a": args.a,
+        "kappa": args.kappa, "tau": args.tau, "phi": None, "theta": None,
+        "family": None, "a": args.a, **direction,
         "t_end": args.t_end, "steps": args.steps,
     }
     emit(args, "geodesic", params,

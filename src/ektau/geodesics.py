@@ -8,8 +8,8 @@ Closed-form families:
   (geodesic / circle / horocycle / hypercycle of the hyperbolic base).
 * Products (tau = 0): products of base geodesics and the vertical line.
 
-The vertical component a3 of the unit tangent is a first integral; closed
-forms are cross-validated against the ODE system in the test-suite.
+closed_geodesic evaluates them, and R^3's lines, with the velocity from
+first integrals; the test-suite checks them against the ODE system.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import leggauss
-from .core import FrameVector, PointE, SpaceParams, _mu, base_intrinsic_radius, coord_to_frame
+from .core import FrameVector, PointE, SpaceParams, _mu, base_intrinsic_radius
 from .errors import ConvergenceError, ModelDomainError, UnsupportedSpaceError
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "GeodesicSample",
     "geodesic_ode_step",
     "integrate_geodesic",
+    "closed_geodesic",
     "nil_geodesic_closed",
     "nil_geodesic_velocity",
     "sl2_geodesic_closed",
@@ -58,6 +59,7 @@ _VERTICAL_EPS = 1e-14
 _REDUCTION_EPS = 4.0 * np.finfo(float).eps  # relative step at which the reduction has converged
 _REDUCTION_MAX_ITER = 100
 _REDUCTION_TINY = 2.0**-60  # relative size below which a closed form is exact to rounding
+_TAU_FLAT = 1.0 / np.finfo(float).max  # tau below which 1/tau overflows
 _SHOOTING_MIN = 1e-3  # rho + |z| below which the shooting solver's absolute tolerance is too coarse
 _ZETA_N_GRID = 4096  # grid points bracketing the roots of zeta_r'
 _UPPER_BOUND_QUAD = 96  # Gauss-Legendre order of the lifted-segment length
@@ -178,79 +180,42 @@ def integrate_geodesic(
 
 
 # ---------------------------------------------------------------------------
-# Nil3 closed forms
+# Closed forms through the origin
 # ---------------------------------------------------------------------------
+
+def _sin_series(x2):
+    """(x - sin x) / x^3 by its Taylor series in x2 = x^2, exact to rounding for |x| <= 0.1."""
+    return 1.0 / 6 - x2 * (1.0 / 120 - x2 * (1.0 / 5040 - x2 * (1.0 / 362880 - x2 / 39916800)))
+
 
 def _nil_xyz(tau, phi, theta, t):
-    """Vectorized Nil3 closed-form coordinates; broadcasts over all inputs.
+    """Nil3 closed form (x, y, z, a1, a2) at arclength t; broadcasts over all inputs.
 
-    The straight-line branch phi = pi/2 follows the horizontal-line
-    convention t -> (cos(theta) t, sin(theta) t, 0); elsewhere the general
-    (phi, theta) formula applies, whose phi -> pi/2 limit is the line in the
-    rotated direction (-sin(theta), cos(theta)).
+    With psi = tau t cos(phi), x = -t sin(phi) sinc(psi) sin(psi + theta),
+    y = t sin(phi) sinc(psi) cos(psi + theta) and
+    z = t cos(phi) + sin(phi)^2 (2 psi - sin 2 psi) / (4 tau cos(phi)^2),
+    the last term by its Taylor series where the difference cancels; and
+    (a1, a2) = (x', y') = sin(phi) (-sin(2 psi + theta), cos(2 psi + theta)).
+    |cos(phi)| < _VERTICAL_EPS takes the horizontal line of closed_geodesic.
     """
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    c = np.cos(phi)
+    c, s = np.cos(phi), np.sin(phi)
+    psi = tau * t * c
+    w = 2.0 * psi
+    direct = np.abs(w) > 0.1
+    ws = np.where(direct, 0.0, w)
+    lift = ws * _sin_series(ws * ws) * tau * t * t + np.divide(
+        w - np.sin(w), 4.0 * tau * c * c, out=np.zeros_like(w), where=direct)
+    sinc = np.divide(np.sin(psi), psi, out=np.ones_like(psi), where=psi != 0.0)
     horizontal = np.abs(c) < _VERTICAL_EPS
-    c_safe = np.where(horizontal, 1.0, c)
-    tn = np.tan(np.where(horizontal, 0.0, phi))
-    w = 2.0 * tau * c_safe
-    x = tn / (2.0 * tau) * (np.cos(w * t + theta) - np.cos(theta))
-    y = tn / (2.0 * tau) * (np.sin(w * t + theta) - np.sin(theta))
-    z = (1.0 + c_safe**2) / (2.0 * c_safe) * t - tn**2 / (4.0 * tau) * np.sin(w * t)
-    x = np.where(horizontal, np.cos(theta) * t, x)
-    y = np.where(horizontal, np.sin(theta) * t, y)
-    z = np.where(horizontal, 0.0, z)
-    return x, y, z
+    return (np.where(horizontal, np.cos(theta) * t, -t * s * sinc * np.sin(psi + theta)),
+            np.where(horizontal, np.sin(theta) * t, t * s * sinc * np.cos(psi + theta)),
+            np.where(horizontal, 0.0, t * c + s * s * lift),
+            np.where(horizontal, np.cos(theta), -s * np.sin(w + theta)),
+            np.where(horizontal, np.sin(theta), s * np.cos(w + theta)))
 
-
-def _nil_velocity_xyz(tau, phi, theta, t):
-    """Analytic coordinate velocity of the Nil3 closed form."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    c = np.cos(phi)
-    s = np.sin(phi)
-    horizontal = np.abs(c) < _VERTICAL_EPS
-    c_safe = np.where(horizontal, 1.0, c)
-    w = 2.0 * tau * c_safe
-    xp = -s * np.sin(w * t + theta)
-    yp = s * np.cos(w * t + theta)
-    zp = (1.0 + c_safe**2) / (2.0 * c_safe) - s**2 / (2.0 * c_safe) * np.cos(w * t)
-    xp = np.where(horizontal, np.cos(theta), xp)
-    yp = np.where(horizontal, np.sin(theta), yp)
-    zp = np.where(horizontal, 0.0, zp)
-    return xp, yp, zp
-
-
-def nil_geodesic_closed(tau: float, phi: float, theta: float, t: float) -> PointE:
-    """Point at arclength t on the Nil3(tau) geodesic through the origin.
-
-    phi in [0, pi] is the angle from the vertical; the initial velocity is
-    (-sin(theta) sin(phi), cos(theta) sin(phi), cos(phi)).
-    """
-    if not (0.0 <= phi <= math.pi):
-        raise ValueError("phi must lie in [0, pi]")
-    x, y, z = _nil_xyz(tau, phi, theta, t)
-    return PointE(float(x), float(y), float(z))
-
-
-def nil_geodesic_velocity(tau: float, phi: float, theta: float, t: float) -> FrameVector:
-    """Unit tangent (frame coefficients) of the Nil3 closed form at t."""
-    x, y, z = _nil_xyz(tau, phi, theta, t)
-    xp, yp, zp = _nil_velocity_xyz(tau, phi, theta, t)
-    a3 = zp + tau * (y * xp - x * yp)
-    return FrameVector(float(xp), float(yp), float(a3))
-
-
-# ---------------------------------------------------------------------------
-# kappa < 0, tau > 0 closed forms
-# ---------------------------------------------------------------------------
 
 def _sl2_xyz(kappa, tau, family, a, t):
-    """Closed-form coordinates for the four kappa<0, tau>0 families.
+    """Closed-form coordinates for the kappa<0 families that _sl2_validate admits.
 
     Supports complex t (for complex-step differentiation).  The hyperbolic
     family carries a sign correction of y and of the linear z-coefficient
@@ -262,10 +227,6 @@ def _sl2_xyz(kappa, tau, family, a, t):
     if family == "horizontal":
         y = (2.0 / sk) * np.tanh(0.5 * sk * t)
         return np.zeros_like(y), y, np.zeros_like(y)
-    if tau == 0.0:
-        raise UnsupportedSpaceError(
-            "elliptic/parabolic/hyperbolic closed forms require tau > 0"
-        )
     if family == "elliptic":
         ka2 = kappa * a * a
         S = math.sqrt((4.0 - ka2) ** 2 + 64.0 * a * a * tau * tau)
@@ -284,36 +245,96 @@ def _sl2_xyz(kappa, tau, family, a, t):
         y = 2.0 * tau * q * t / den
         z = (q / sk) * t + (4.0 * tau / kappa) * np.arctan(tau * sk * t / q)
         return x, y, z
-    if family == "hyperbolic":
-        ka2 = kappa * a * a
-        root = math.sqrt(-ka2 - 4.0)
-        m = tau * root / (2.0 * math.sqrt(a * a * tau * tau + 1.0))
-        den = 4.0 + ka2 * np.cosh(m * t) ** 2
-        x = 4.0 * a * np.sinh(m * t) ** 2 / den
-        y = -a * root * np.sinh(2.0 * m * t) / den
-        z = (4.0 * tau * tau - kappa) / (-kappa * math.sqrt(1.0 + a * a * tau * tau)) * t + (
-            4.0 * tau / kappa
-        ) * np.arctan(2.0 * np.tanh(m * t) / root)
-        return x, y, z
-    raise ValueError(f"unknown family {family!r}")
+    ka2 = kappa * a * a  # hyperbolic
+    root = math.sqrt(-ka2 - 4.0)
+    m = tau * root / (2.0 * math.sqrt(a * a * tau * tau + 1.0))
+    den = 4.0 + ka2 * np.cosh(m * t) ** 2
+    x = 4.0 * a * np.sinh(m * t) ** 2 / den
+    y = -a * root * np.sinh(2.0 * m * t) / den
+    z = (4.0 * tau * tau - kappa) / (-kappa * math.sqrt(1.0 + a * a * tau * tau)) * t + (
+        4.0 * tau / kappa
+    ) * np.arctan(2.0 * np.tanh(m * t) / root)
+    return x, y, z
 
 
 def _sl2_validate(sp: SpaceParams, family: str, a: float | None):
-    if sp.kappa >= 0.0:
-        raise UnsupportedSpaceError("sl2 closed forms require kappa < 0")
     lim = sp.model_radius
-    if family == "elliptic":
-        if a is None or not (0.0 <= a < lim):
-            raise ValueError(f"elliptic family needs 0 <= a < {lim}")
-    elif family == "hyperbolic":
-        if a is None or not (a > lim):
-            raise ValueError(f"hyperbolic family needs a > {lim}")
-    elif family not in ("horizontal", "parabolic"):
-        raise ValueError(f"unknown family {family!r}")
+    if family not in sl2_families:
+        raise ValueError(f"unknown family {family!r}; kappa<0 families: {', '.join(sl2_families)}")
+    if family == "elliptic" and (a is None or not (0.0 <= a < lim)):
+        raise ValueError(f"elliptic family needs 0 <= a < {lim}")
+    if family == "hyperbolic" and (a is None or not (a > lim)):
+        raise ValueError(f"hyperbolic family needs a > {lim}")
     if family != "horizontal" and sp.tau == 0.0:
         raise UnsupportedSpaceError(
             "tau = 0: only the horizontal/product branch is valid"
         )
+
+
+def closed_geodesic(sp: SpaceParams, t, *, phi: float = math.pi / 2, theta: float = 0.0,
+                    family: str = "horizontal", a: float | None = None):
+    """Closed-form geodesic through the origin at the arclengths t.
+
+    Returns ((x, y, z), (a1, a2, a3)), coordinates and unit frame velocity
+    shaped like t.  kappa >= 0 reads the direction from phi and theta: Nil3
+    starts at (-sin(theta) sin(phi), cos(theta) sin(phi), cos(phi)) for phi
+    in [0, pi], but at (cos(theta), sin(theta), 0) for phi = pi/2, and R^3
+    at (cos(theta) sin(phi), sin(theta) sin(phi), cos(phi)).  kappa < 0
+    reads one of sl2_families and its a, and raises ModelDomainError where
+    the geodesic leaves the model disk.  The velocity comes from first
+    integrals: a3 and |(a1, a2)| keep their values at the origin (E3 is
+    Killing), and (a1, a2) points along the coordinate velocity (x', y'),
+    a complex step for kappa < 0; so no row divides by mu, which loses its
+    digits near the model rim.
+    """
+    t = np.asarray(t, dtype=float)
+    if sp.kappa < 0.0:
+        _sl2_validate(sp, family, a)
+        x, y, z = _sl2_xyz(sp.kappa, sp.tau, family, a, t)
+        _mu(sp, x, y)
+        h = 1e-30  # complex step: first derivatives exact to rounding
+        xp, yp, _ = (np.imag(c) / h for c in _sl2_xyz(sp.kappa, sp.tau, family, a, t + 1j * h))
+        v1, v2, a3 = (float(np.imag(c)) / h for c in _sl2_xyz(sp.kappa, sp.tau, family, a, 1j * h))
+        norm = np.hypot(xp, yp)
+        a1, a2 = (math.hypot(v1, v2) * np.divide(v, norm, out=np.zeros_like(norm), where=norm > 0.0)
+                  for v in (xp, yp))
+    elif sp.tau == 0.0:
+        a3 = math.cos(phi)
+        v1, v2 = math.cos(theta) * math.sin(phi), math.sin(theta) * math.sin(phi)
+        x, y, z = v1 * t, v2 * t, a3 * t
+        a1, a2 = np.full_like(t, v1), np.full_like(t, v2)
+    else:
+        if not (0.0 <= phi <= math.pi):
+            raise ValueError("phi must lie in [0, pi]")
+        x, y, z, a1, a2 = _nil_xyz(sp.tau, phi, theta, t)
+        a3 = 0.0 if abs(math.cos(phi)) < _VERTICAL_EPS else math.cos(phi)
+    return (x, y, z), (a1, a2, np.full_like(t, a3))
+
+
+def _closed_sample(sp: SpaceParams, t: float, **direction) -> tuple[PointE, FrameVector]:
+    (x, y, z), (a1, a2, a3) = closed_geodesic(sp, float(t), **direction)
+    return PointE(float(x), float(y), float(z)), FrameVector(float(a1), float(a2), float(a3))
+
+
+def _sl2_sample(sp: SpaceParams, family: str, a: float | None, t: float):
+    if sp.kappa >= 0.0:
+        raise UnsupportedSpaceError("sl2 closed forms require kappa < 0")
+    return _closed_sample(sp, t, family=family, a=a)
+
+
+def nil_geodesic_closed(tau: float, phi: float, theta: float, t: float) -> PointE:
+    """Point at arclength t on the Nil3(tau) geodesic through the origin.
+
+    phi in [0, pi] is the angle from the vertical; the initial velocity is
+    (-sin(theta) sin(phi), cos(theta) sin(phi), cos(phi)).  A scalar view of
+    closed_geodesic (tau = 0 gives its R^3 line).
+    """
+    return _closed_sample(SpaceParams(0.0, tau), t, phi=phi, theta=theta)[0]
+
+
+def nil_geodesic_velocity(tau: float, phi: float, theta: float, t: float) -> FrameVector:
+    """Unit tangent (frame coefficients) of the Nil3 closed form at t."""
+    return _closed_sample(SpaceParams(0.0, tau), t, phi=phi, theta=theta)[1]
 
 
 def sl2_geodesic_closed(
@@ -323,23 +344,16 @@ def sl2_geodesic_closed(
 
     a parametrizes the elliptic (0 <= a < 2/sqrt(-kappa), a = 0 is the
     fiber) and hyperbolic (a > 2/sqrt(-kappa)) families; it is ignored for
-    the horizontal and parabolic ones.
+    the horizontal and parabolic ones.  A scalar view of closed_geodesic.
     """
-    _sl2_validate(sp, family, a)
-    x, y, z = _sl2_xyz(sp.kappa, sp.tau, family, a, float(t))
-    return PointE(float(x), float(y), float(z))
+    return _sl2_sample(sp, family, a, t)[0]
 
 
 def sl2_geodesic_velocity(
     sp: SpaceParams, family: str, a: float | None, t: float
 ) -> FrameVector:
-    """Unit tangent of the closed form at t, via complex-step differentiation."""
-    _sl2_validate(sp, family, a)
-    h = 1e-30
-    x, y, z = _sl2_xyz(sp.kappa, sp.tau, family, a, float(t))
-    xc, yc, zc = _sl2_xyz(sp.kappa, sp.tau, family, a, float(t) + 1j * h)
-    v = (np.imag(xc) / h, np.imag(yc) / h, np.imag(zc) / h)
-    return coord_to_frame(sp, PointE(float(x), float(y), float(z)), v)
+    """Unit tangent of the closed form at t (see closed_geodesic)."""
+    return _sl2_sample(sp, family, a, t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +568,7 @@ def _nil_reduction_terms(t, tau, rho):
     x = 2.0 * u
     x2 = x * x
     # g = (2u - sin 2u) / (4 sin^2 u), by its Taylor series where the difference cancels
-    series = x * q * q * (1.0 / 6 - x2 * (1.0 / 120 - x2 * (
-        1.0 / 5040 - x2 * (1.0 / 362880 - x2 / 39916800))))
+    series = x * q * q * _sin_series(x2)
     g = np.divide(x - 2.0 * s * c, 4.0 * s * s, out=series, where=x > 0.1)
     r2 = rho * rho
     f = u / tau + tau * r2 * g
@@ -585,6 +598,8 @@ def nil_distance_reduced(tau: float, rho, z, radius: float | None = None):
     only points next to the sphere iterate until the reduction converges.
     The probes do not depend on the radius, so membership agrees with the
     distance form up to rounding.
+    Where 1/tau overflows, the metric is Euclidean to rounding (for rho,
+    |z| < 1e300), and the distance is hypot(rho, z).
     """
     rho, z = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                  np.abs(np.asarray(z, dtype=float)))
@@ -592,6 +607,9 @@ def nil_distance_reduced(tau: float, rho, z, radius: float | None = None):
     rho, z = rho.ravel(), z.ravel()
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(z))):
         raise ValueError("rho and z must be finite")
+    if tau < _TAU_FLAT:  # 1/tau overflows
+        d = np.hypot(rho, z)
+        return (d if radius is None else d < radius).reshape(shape)
     axis_d = np.where(tau * z <= math.pi, z,
                       np.sqrt(np.maximum(math.pi * (2.0 * tau * z - math.pi), 0.0)) / tau)
     # a horizontal segment of length rho and a fiber segment of length |z|

@@ -19,7 +19,6 @@ import ektau
 from ektau.core import BasePoint, PointE, SpaceParams, coord_to_frame
 from ektau.balls import BallSpec, mc_volume, volume_growth_fit
 from ektau.geodesics import (
-    _nil_velocity_xyz,
     _nil_xyz,
     _sl2_xyz,
     nil_max_height,
@@ -84,10 +83,8 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _nil_state(tau, phi, theta, t):
     """(position, frame velocity) arrays of the Nil3 closed form."""
-    x, y, z = _nil_xyz(tau, phi, theta, t)
-    xp, yp, zp = _nil_velocity_xyz(tau, phi, theta, t)
-    a3 = zp + tau * (y * xp - x * yp)
-    return np.stack([x, y, z, xp, yp, a3])
+    x, y, z, a1, a2 = _nil_xyz(tau, phi, theta, t)
+    return np.stack([x, y, z, a1, a2, np.cos(phi) + 0.0 * t])
 
 
 def _nil_rhs(tau, state):

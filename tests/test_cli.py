@@ -8,12 +8,23 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ektau
 from ektau import growth
+from ektau.core import FrameVector, PointE, SpaceParams
+from ektau.geodesics import (
+    GeodesicSpec,
+    integrate_geodesic,
+    nil_geodesic_closed,
+    nil_geodesic_velocity,
+    sl2_families,
+    sl2_geodesic_closed,
+    sl2_geodesic_velocity,
+)
 from ektau.cli import (
     EXIT_HYPOTHESIS,
     EXIT_NUMERICAL,
@@ -70,10 +81,65 @@ class TestGeodesic:
         assert "phi" in err
 
     def test_sl2_family_validation(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "geodesic", "--kappa", "-1", "--family", "spiral"
         )
         assert code == EXIT_USAGE
+        assert "spiral" in err and all(family in err for family in sl2_families)
+
+    @pytest.mark.parametrize("argv", [
+        *(f"--tau {tau} --phi 1 --theta 0.3" for tau in ("1e-9", "1e-3", "1", "10")),
+        "--tau 1 --phi 2.3 --theta -1 --t-end -3",
+        "--tau 0 --phi 1 --theta 2",
+        "--kappa -1 --tau 0",
+        *(f"--kappa {kappa} --tau 0.7 --family {family}" for kappa in ("-1", "-0.5")
+          for family in ("horizontal", "parabolic")),
+        "--kappa -1 --tau 0.7 --family elliptic --a 0.8",
+        "--kappa -1 --tau 0.7 --family hyperbolic --a 3",
+        "--kappa -0.5 --tau 0.7 --family elliptic --a 1.5",
+        "--kappa -0.5 --tau 0.7 --family hyperbolic --a 4",
+    ])
+    def test_rows_match_closed_forms_and_ode(self, capsys, argv):
+        code, out, err = run_cli(capsys, "geodesic", "--t-end", "3", "--steps", "12",
+                                 "--format", "json", *argv.split())
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        params, rows = doc["params"], doc["rows"]
+        sp = SpaceParams(params["kappa"], params["tau"])
+        for row in rows:
+            p, v = _scalar_closed_form(sp, params, row[0])
+            assert row[1:7] == pytest.approx([p.x, p.y, p.z, v.a1, v.a2, v.a3], rel=1e-12)
+            assert row[7] <= 1e-12
+        ode = integrate_geodesic(sp, GeodesicSpec(PointE(0.0, 0.0, 0.0), FrameVector(*rows[0][4:7])),
+                                 params["t_end"], tol=1e-11, n_samples=len(rows))
+        for row, s in zip(rows, ode):
+            ref = [s.point.x, s.point.y, s.point.z, s.velocity.a1, s.velocity.a2, s.velocity.a3]
+            assert row[:7] == pytest.approx([s.t, *ref], abs=1e-9)
+
+    def test_subnormal_tau_is_the_straight_line(self, capsys):
+        code, out, err = run_cli(capsys, "geodesic", "--tau", "1e-320", "--phi", "1",
+                                 "--format", "json")
+        assert code == EXIT_OK, err
+        for t, x, y, z, *_ in json.loads(out)["rows"]:
+            assert [x, y, z] == pytest.approx([0.0, math.sin(1.0) * t, math.cos(1.0) * t],
+                                              rel=1e-12)
+
+    def test_large_tau_is_fast_and_unit_speed(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "geodesic", "--tau", "1e6", "--phi", "1",
+                                 "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK, err
+        assert max(row[7] for row in json.loads(out)["rows"]) <= 1e-12
+
+    def test_near_the_model_rim(self, capsys):
+        argv = ["geodesic", "--kappa", "-1", "--tau", "0.5", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv, "--t-end", "30")
+        assert code == EXIT_OK, err
+        assert max(row[7] for row in json.loads(out)["rows"]) <= 1e-12
+        code, out, err = run_cli(capsys, *argv, "--t-end", "100")
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("numerical failure: ") and "model disk" in err
 
     @pytest.mark.parametrize("argv", [
         "--kappa 0 --tau 1 --family nil",
@@ -118,6 +184,20 @@ class TestGeodesic:
         assert code == EXIT_OK and explicit == default
 
 
+def _scalar_closed_form(sp, params, t):
+    """(point, frame velocity) at t on the geodesic that a request's params describe."""
+    if sp.kappa < 0.0:
+        args = (sp, params["family"], params["a"], t)
+        return sl2_geodesic_closed(*args), sl2_geodesic_velocity(*args)
+    phi, theta = params["phi"], params["theta"]
+    if sp.tau > 0.0:
+        args = (sp.tau, phi, theta, t)
+        return nil_geodesic_closed(*args), nil_geodesic_velocity(*args)
+    v = FrameVector(math.cos(theta) * math.sin(phi), math.sin(theta) * math.sin(phi),
+                    math.cos(phi))
+    return PointE(v.a1 * t, v.a2 * t, v.a3 * t), v
+
+
 class TestBallVolume:
     def test_euclidean_unit_ball(self, capsys):
         code, out, _ = run_cli(
@@ -128,6 +208,16 @@ class TestBallVolume:
         row = out.splitlines()[1].split(",")
         vol, std = float(row[1]), float(row[2])
         assert abs(vol - 4.0 * math.pi / 3.0) < 3.0 * std
+
+    def test_subnormal_tau_is_euclidean(self, capsys):
+        volumes = []
+        for tau in ("1e-320", "0"):
+            code, out, err = run_cli(capsys, "ball-volume", "--tau", tau, "--radii", "1",
+                                     "--samples", "1000")
+            assert code == EXIT_OK, err
+            volumes.append([float(v) for v in out.splitlines()[1].split(",")[1:3]])
+        (vol, std), (flat, _) = volumes
+        assert abs(vol - flat) <= std
 
     def test_fit_row_appended(self, capsys):
         code, out, _ = run_cli(
@@ -462,12 +552,12 @@ class TestColdStart:
         ["growth"],
         ["growth", "--family", "extrinsic"],
         ["growth", "--family", "cylinder"],
+        ["geodesic"],
     ])
     def test_loads_no_scipy(self, capsys, argv):
         assert self._cold(capsys, [*argv, "--format", "json"]) == []
 
     @pytest.mark.parametrize("argv", [
-        ["geodesic"],
         ["growth", "--example", "fmp", "--family", "intrinsic"],
     ])
     def test_loads_scipy_on_demand(self, capsys, argv):
