@@ -266,20 +266,31 @@ def region_areas(g, family: str, radii) -> list[float]:
     family is "extrinsic" (ambient geodesic balls B_R(0)), "intrinsic"
     (surface geodesic balls about the point over the origin) or "cylinder"
     (solid cylinders over the base disk D_R); any other name raises
-    ValueError.  Cylinders, and every family on an ExampleSurface whose
-    extrinsic_equals_base_disk says so (the umbrellas), cut the graph over
-    D_R.  Intrinsic balls of all radii come from one intrinsic_area_table.
+    ValueError, as does a radius that is not finite or is negative, before
+    anything is solved; no radii give [].  Cylinders, and every family on an
+    ExampleSurface whose extrinsic_equals_base_disk says so (the umbrellas),
+    cut the graph over D_R.  Intrinsic balls of all radii come from the
+    ExampleSurface's closed form "intrinsic_area" where it has one (the fmp
+    graph u = tau x y), else from one intrinsic_area_table.
     """
     if family not in ("extrinsic", "intrinsic", "cylinder"):
         raise ValueError(
             f"family must be extrinsic, intrinsic or cylinder, got {family!r}")
+    radii = [float(R) for R in radii]
+    bad = [R for R in radii if not (math.isfinite(R) and R >= 0.0)]
+    if bad:
+        raise ValueError(f"radii must be finite and >= 0, got {bad[0]!r}")
+    if not radii:
+        return []
     example = isinstance(g, ExampleSurface)
     gg = g.graph if example else g
     if family == "cylinder" or (example and g.extrinsic_equals_base_disk):
         return [graph_area(gg, base_disk_model_radius(gg.sp, R)).value for R in radii]
     if family == "extrinsic":
         return [_extrinsic_area(gg, R) for R in radii]
-    return [float(a) for a in intrinsic_area_table(gg, radii)]
+    exact = g.closed_forms.get("intrinsic_area") if example else None
+    table = exact(radii) if exact else intrinsic_area_table(gg, radii)
+    return [float(a) for a in table]
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +415,10 @@ def table1_suite(selection=None) -> list[GrowthReport]:
             [3, 4, 5, 6, 7, 8],
             {"model": "exponential", "value": 1.0, "comparison": "exact"},
         ),
-        # The fitted exponent, about 2.80, is below 3 at these finite radii.
-        # A 184-vector stencil (every primitive (i, j) with |i|, |j| <= 12),
-        # which brings the Nil3 umbrella's areas to within 1 %, moves it only
-        # to 2.79, so the gap is a finite-radius effect, not the solver's.
+        # The areas are exact (fmp_intrinsic_area), and their fitted exponent,
+        # 2.791, is below 3 at these finite radii: the gap is a finite-radius
+        # effect, not a solver's.  The Dijkstra grid reads 2.2-3.4 % low here
+        # and fits 2.80.
         "fmp-intrinsic": lambda: _row(
             fmp_surface(1.0, 0.0), "intrinsic",
             [4, 5, 6.5, 8, 10, 12],

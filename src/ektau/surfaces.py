@@ -24,6 +24,7 @@ __all__ = [
     "umbrella",
     "affine_plane",
     "fmp_surface",
+    "fmp_intrinsic_area",
     "catenoid",
     "catenoid_height",
     "cmc_profile",
@@ -35,13 +36,20 @@ HEIGHT_QUAD_ORDER = 200  # Gauss-Legendre order of the catenoid height integral
 POLYGON_QUAD_ORDER = 64  # Gauss-Legendre order of each ideal-triangle integral
 PROFILE_TOL = 1e-10      # relative and absolute ODE tolerance of cmc_profile
 PROFILE_SAMPLES = 400    # arclength samples of a cmc_profile
+FMP_AREA_BASE_N = 32     # Gauss-Legendre order of the first level of fmp_intrinsic_area
+FMP_AREA_LEVELS = 4      # node-doubling levels before ConvergenceError
+FMP_AREA_TOL = 1e-10     # relative agreement of two levels that ends the doubling
+FMP_AREA_TAIL = 20.0     # w-length of the tail panel, below which the integrands are under e^-40
+FMP_NEWTON_MAX_ITER = 60  # safeguarded Newton steps per height before ConvergenceError
+FMP_SERIES_MAX = 1e-7    # tau R below which pi R^2 (1 + (tau R)^2 / 3) is exact to rounding
 
 
 @dataclass(frozen=True)
 class ExampleSurface:
     """A named graph surface with closed-form reference quantities.
 
-    closed_forms maps quantity names to callables of the radius;
+    closed_forms maps quantity names to callables of the radius
+    ("intrinsic_area" takes a sequence of radii and returns their areas);
     extrinsic_equals_base_disk says that the intersection with the ambient
     ball B_R(0) is exactly the graph over the base disk D_R.
     """
@@ -135,7 +143,8 @@ def fmp_surface(tau: float, theta: float) -> ExampleSurface:
 
     theta = 0 gives u = tau x y, whose induced metric in (x, y) is
     (1 + 4 tau^2 y^2) dx^2 + dy^2.  The closed form
-    intrinsic_area_lower_bound bounds area(B_R of the surface) from below.
+    intrinsic_area_lower_bound bounds area(B_R of the surface) from below;
+    at theta = 0, intrinsic_area gives it exactly (fmp_intrinsic_area).
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -168,7 +177,131 @@ def fmp_surface(tau: float, theta: float) -> ExampleSurface:
         ) / (3.0 * tau**2)
 
     g = GraphSurface(sp, BaseDomain.full_plane(), u, grad, hess)
-    return ExampleSurface("fmp", g, {"intrinsic_area_lower_bound": lower_bound}, minimal=True)
+    forms = {"intrinsic_area_lower_bound": lower_bound}
+    if theta == 0.0:
+        forms["intrinsic_area"] = lambda radii: fmp_intrinsic_area(tau, radii)
+    return ExampleSurface("fmp", g, forms, minimal=True)
+
+
+def _clairaut_integrals(ell, U, n):
+    """(W, I1, I2, D) for the geodesics of u = tau x y from the origin with
+    log(1 - c^2) = ell, up to the height y with U = 2 tau y.
+
+    With y = a sinh w, a = sqrt(1 - c^2) / (2 tau), the arclength is
+    S = (W + I1) / (2 tau) and the x reached is X = c (2 tau S - I2) / (2 tau),
+    where W = asinh(y / a), I1 = int_0^W (g - 1) dw, I2 = int_0^W (g - 1/g) dw
+    and g = sqrt(1 + s^2), s = U sinh w / sinh W.  The derivative of 2 tau S
+    in ell at fixed y is -(tanh W + D) / 2, D = int_0^W (g - 1) / cosh^2 w dw.
+    The integrands are below e^-40 more than FMP_AREA_TAIL + 3 under the
+    bend w = W - asinh(U), where s reaches 1, so each integral is n
+    Gauss-Legendre nodes from 3 units below the bend up to W, and n more on
+    the FMP_AREA_TAIL units below those, all in v = w - W, whose rounding
+    does not grow with W.
+    """
+    nodes, weights = leggauss(n)
+    q = np.exp(np.minimum(np.log(U) - 0.5 * ell, 700.0))  # y / a
+    W = np.where(q < 1.0, np.arcsinh(q),
+                 np.log(U + np.hypot(U, np.exp(0.5 * ell))) - 0.5 * ell)
+    bend = np.minimum(W, np.arcsinh(U) + 3.0)
+    tail = np.minimum(W, bend + FMP_AREA_TAIL)
+    I1 = I2 = D = 0.0
+    for v0, v1 in ((-tail, -bend), (-bend, 0.0)):
+        half = 0.5 * (v1 - v0)
+        v = v0[:, None] + half[:, None] * (nodes + 1.0)
+        w = W[:, None] + v
+        # sinh w / sinh W = e^v (1 - e^-2w) / (1 - e^-2W)
+        s = U[:, None] * np.exp(v) * (np.expm1(-2.0 * w) / np.expm1(-2.0 * W)[:, None])
+        g = np.hypot(1.0, s)
+        g1 = s * (s / (1.0 + g))  # g - 1
+        decay = np.exp(-2.0 * w)
+        sech2 = 4.0 * decay / (1.0 + decay) ** 2
+        I1 = I1 + half * np.sum(weights * g1, axis=1)
+        I2 = I2 + half * np.sum(weights * s * (s / g), axis=1)
+        D = D + half * np.sum(weights * g1 * sech2, axis=1)
+    return W, I1, I2, D
+
+
+def _fmp_area_level(tau: float, radii: np.ndarray, n: int) -> np.ndarray:
+    """fmp_intrinsic_area at radii with tau R >= FMP_SERIES_MAX, on n
+    Gauss-Legendre nodes in theta and n per panel of _clairaut_integrals."""
+    nodes, weights = leggauss(n)
+    theta = 0.25 * math.pi * (nodes + 1.0)
+    t2 = 2.0 * tau * radii[:, None]
+    U = (t2 * np.sin(theta) ** 2).ravel()
+    target = np.broadcast_to(t2, (radii.size, n)).ravel()
+    f = np.hypot(1.0, U)
+    # g >= 1, so W >= 2 tau R puts S >= R: the bracket's lower end; c = 0
+    # (ell = 0) reaches y at S = y <= R: its upper end
+    lo = 2.0 * (np.log(U) - target - np.log(-0.5 * np.expm1(-2.0 * target)))
+    hi = np.zeros_like(U)
+    # first probe: the root of 2 tau S ~ W + f - 1 - log((1 + f) / 2), the
+    # large-W asymptote, or the flat metric's root lo
+    ell = np.clip(2.0 * (np.log(2.0 * U) + f - 1.0 - np.log(0.5 * (1.0 + f)) - target),
+                  lo, hi)
+    root = np.empty_like(U)
+    idx = np.arange(U.size)
+    for _ in range(FMP_NEWTON_MAX_ITER):
+        if idx.size == 0:
+            break
+        W, I1, _, D = _clairaut_integrals(ell, U[idx], n)
+        F = W + I1 - target[idx]  # 2 tau (S - R), decreasing in ell
+        lo, hi = np.where(F > 0.0, ell, lo), np.where(F < 0.0, ell, hi)
+        nxt = ell + 2.0 * F / (np.tanh(W) + D)
+        # Newton converges quadratically: the step left after this one is ~1e-20
+        done = np.abs(nxt - ell) <= 1e-10 * (1.0 + np.abs(ell))
+        root[idx[done]] = np.clip(nxt[done], lo[done], hi[done])
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        keep = ~done
+        idx, ell, lo, hi = idx[keep], nxt[keep], lo[keep], hi[keep]
+    if idx.size:
+        raise ConvergenceError(
+            f"Clairaut slope not found at {idx.size} heights after "
+            f"{FMP_NEWTON_MAX_ITER} Newton steps")
+    _, _, I2, _ = _clairaut_integrals(root, U, n)
+    X = np.sqrt(-np.expm1(root)) * (target - I2) / (2.0 * tau)
+    width = (f * X).reshape(radii.size, n)
+    return math.pi * radii * np.sum(weights * np.sin(2.0 * theta) * width, axis=1)
+
+
+def fmp_intrinsic_area(tau: float, radii) -> np.ndarray:
+    """Exact areas of the intrinsic balls B_R about the origin of u = tau x y,
+    the fmp_surface at theta = 0, for every radius in radii at once.
+
+    The induced metric dy^2 + f(y)^2 dx^2, f = sqrt(1 + 4 tau^2 y^2), has
+    curvature -4 tau^2 / f^4 < 0, so no geodesic from the origin has a cut
+    point, and Clairaut's integral f^2 x' = c, with |c| <= 1 <= f, keeps y
+    monotone along each.  The slice of B_R at height y is then
+    |x| < X(c*, y), c* the slope whose geodesic reaches y at arclength R
+    (``_clairaut_integrals``), and A(R) = 4 int_0^R f X(c*(y), y) dy.
+    The y-integral runs by Gauss-Legendre in theta, y = R sin^2 theta,
+    which is smooth at both ends; c* comes from safeguarded Newton steps in
+    log(1 - c^2).  The node count doubles from FMP_AREA_BASE_N until two
+    levels agree to FMP_AREA_TOL, relative; ConvergenceError, carrying the
+    finest areas in ``best``, is raised if FMP_AREA_LEVELS do not.  Radii
+    with tau R < FMP_SERIES_MAX take the expansion pi R^2 (1 + tau^2 R^2 / 3),
+    which K(0) = -4 tau^2 gives.  Radii must be finite and >= 0.
+    """
+    shape = np.shape(radii)
+    r = np.asarray(radii, dtype=float).ravel()
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
+        raise ValueError("radii must be finite and >= 0")
+    big = tau * r >= FMP_SERIES_MAX
+    areas = math.pi * r * r
+    areas[~big] *= 1.0 + (tau * r[~big]) ** 2 / 3.0
+    if not np.any(big):
+        return areas.reshape(shape)
+    n = FMP_AREA_BASE_N
+    prev = None
+    for _ in range(FMP_AREA_LEVELS):
+        cur = _fmp_area_level(tau, r[big], n)
+        if prev is not None and np.all(np.abs(cur - prev) <= FMP_AREA_TOL * cur):
+            areas[big] = cur
+            return areas.reshape(shape)
+        prev = cur
+        n *= 2
+    raise ConvergenceError(
+        f"fmp intrinsic areas not stable to {FMP_AREA_TOL} after "
+        f"{FMP_AREA_LEVELS} node doublings", best=cur)
 
 
 # ---------------------------------------------------------------------------

@@ -224,11 +224,50 @@ class TestRegionFamilies:
         assert region_areas(surf, family, radii) == expected
 
     def test_region_areas_intrinsic_is_one_table(self):
-        surf = fmp_surface(1.0, 0.0)
+        # fmp at theta != 0 has no closed-form intrinsic area
+        surf = fmp_surface(1.0, 0.5)
         radii = [3.0, 1.5, 2.0]
         areas = region_areas(surf, "intrinsic", radii)
         assert areas == list(intrinsic_area_table(surf.graph, radii))
         assert all(type(a) is float for a in areas)
+
+    def test_region_areas_intrinsic_reads_the_closed_form(self, monkeypatch):
+        surf = fmp_surface(1.0, 0.0)
+        radii = [3.0, 1.5, 2.0]
+        monkeypatch.setattr(growth, "_intrinsic_distances", None)
+        areas = region_areas(surf, "intrinsic", radii)
+        assert areas == list(surf.closed_forms["intrinsic_area"](radii))
+        assert all(type(a) is float for a in areas)
+
+    def test_grid_is_one_to_four_percent_below_the_exact_fmp_areas(self):
+        # the stencil bias of the 16-vector grid, against a real answer
+        surf = fmp_surface(1.0, 0.0)
+        radii = [4.0, 5.0, 6.5, 8.0, 10.0, 12.0]
+        grid = intrinsic_area_table(surf.graph, radii)
+        low = 1.0 - grid / surf.closed_forms["intrinsic_area"](radii)
+        assert np.all((0.01 <= low) & (low <= 0.04)), low
+
+    @pytest.mark.parametrize("family", ["extrinsic", "intrinsic", "cylinder"])
+    @pytest.mark.parametrize("radii", [[float("nan")], [float("inf")], [-1.0],
+                                       [2.0, -float("inf")], [1.0, -1e-300]])
+    @pytest.mark.parametrize("surface", ["fmp", "fmp-0.5", "plane"])
+    def test_bad_radii_raise_before_any_solve(self, surface, family, radii, monkeypatch):
+        surf = {"fmp": fmp_surface(1.0, 0.0), "fmp-0.5": fmp_surface(1.0, 0.5),
+                "plane": affine_plane(1.0, 1.0, 0.5)}[surface]
+
+        def solved(*args, **kwargs):
+            raise AssertionError("solved before the radii were checked")
+
+        for name in ("_intrinsic_distances", "_extrinsic_area", "graph_area"):
+            monkeypatch.setattr(growth, name, solved)
+        monkeypatch.setattr(surfaces, "_fmp_area_level", solved)
+        with pytest.raises(ValueError, match="radii must be finite and >= 0"):
+            region_areas(surf, family, radii)
+
+    @pytest.mark.parametrize("family", ["extrinsic", "intrinsic", "cylinder"])
+    def test_no_radii_give_no_areas(self, family):
+        assert region_areas(fmp_surface(1.0, 0.5), family, []) == []
+        assert region_areas(fmp_surface(1.0, 0.5), family, np.array([])) == []
 
     def test_ordering_invariant_fmp(self):
         surf = fmp_surface(1.0, 0.0)
@@ -414,7 +453,18 @@ class TestTableSuite:
         assert abs(rep.fit.power_exponent - 3.0) < 0.4
         assert len(rep.samples) == 6
 
-    def test_fmp_row_solves_once_per_grid_level(self, monkeypatch):
+    def test_fmp_row_reads_the_exact_areas(self, monkeypatch):
+        monkeypatch.setattr(growth, "_intrinsic_distances", None)
+        (rep,) = table1_suite(["fmp-intrinsic"])
+        assert rep.family == "intrinsic" and len(rep.samples) == 6
+        assert rep.verdict == "consistent"
+        assert round(rep.fit.power_exponent, 3) == 2.791
+        lb = fmp_surface(1.0, 0.0).closed_forms["intrinsic_area_lower_bound"]
+        assert all(area >= lb(R) for R, area, _ in rep.samples)
+
+    def test_intrinsic_row_without_a_closed_form_solves_once_per_grid_level(
+            self, monkeypatch):
+        # the fmp row on theta = 0.5, which has no closed-form intrinsic area
         grid_sizes = []
         solve = growth._intrinsic_distances
 
@@ -423,12 +473,12 @@ class TestTableSuite:
             return solve(g, L, n, *args, **kwargs)
 
         monkeypatch.setattr(growth, "_intrinsic_distances", counted)
+        monkeypatch.setattr(growth, "fmp_surface",
+                            lambda tau, theta: fmp_surface(tau, 0.5))
         (rep,) = table1_suite(["fmp-intrinsic"])
         assert rep.family == "intrinsic" and len(rep.samples) == 6
         assert 1 <= len(grid_sizes) <= 4
         assert grid_sizes == sorted(set(grid_sizes))
-        lb = fmp_surface(1.0, 0.0).closed_forms["intrinsic_area_lower_bound"]
-        assert all(area >= lb(R) for R, area, _ in rep.samples)
 
 
 class TestGoldenRows:
@@ -442,8 +492,8 @@ class TestGoldenRows:
         ("umbrella-hyperbolic", [105.61029641496573, 337.01770063191606,
                                  984.8857472398115, 2765.111137494798,
                                  7623.513792371762, 20849.3106279354]),
-        ("fmp-intrinsic", [117.84550774424523, 215.75809204828076, 446.08909826012666,
-                           800.4975172181618, 1512.6194318775126, 2557.1280868377053]),
+        ("fmp-intrinsic", [122.04569168877254, 223.29669453719805, 460.50184087018744,
+                           824.0278918435134, 1551.800192364908, 2615.954288306937]),
         ("entire-cylinder-lower", [285.1634110863714, 919.7209250978759,
                                    2841.669930670385, 10374.434739882967,
                                    32850.44231445377, 134243.3869424706]),

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad, solve_ivp
 
+from ektau import surfaces
 from ektau._quadrature import leggauss
 from ektau.core import BasePoint, SpaceParams, base_disk_model_radius
-from ektau.errors import HypothesisViolationError
+from ektau.errors import ConvergenceError, HypothesisViolationError
 from ektau.graphs import graph_area, mean_curvature
 from ektau.surfaces import (
     affine_plane,
     catenoid,
     catenoid_height,
     cmc_profile,
+    fmp_intrinsic_area,
     fmp_surface,
     ideal_polygon_area,
     ideal_polygon_area_numeric,
@@ -135,6 +138,124 @@ class TestFmp:
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             fmp_surface(0.0, 0.0)
+
+
+# A(R) of u = x y (tau = 1) at R = 4, 5, 6.5, 8, 10, 12 from a separate
+# implementation of the same reduction (the slope found by bisection), whose
+# 64^2- and 128^2-node quadratures agreed to 6e-14
+_FMP_RADII = [4.0, 5.0, 6.5, 8.0, 10.0, 12.0]
+_FMP_AREAS = [122.0456916888, 223.2966945372, 460.5018408702, 824.0278918435,
+              1551.800192365, 2615.954288307]
+
+
+class TestFmpIntrinsicArea:
+    def test_reference_values(self):
+        areas = fmp_surface(1.0, 0.0).closed_forms["intrinsic_area"](_FMP_RADII)
+        for a, ref in zip(areas, _FMP_AREAS):
+            assert math.isclose(a, ref, rel_tol=1e-10)
+
+    def test_only_theta_zero_has_the_closed_form(self):
+        assert "intrinsic_area" not in fmp_surface(1.0, 0.5).closed_forms
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 3e-2, 0.1])
+    def test_small_radius_expansion(self, tau, t):
+        # Gray's expansion of a small geodesic disk's area, at the origin,
+        # where K = -4 tau^2 and Delta K = 64 tau^4:
+        # pi R^2 (1 - K R^2 / 12 + (2 K^2 - 3 Delta K) R^4 / 720 + O(R^6));
+        # at t = tau R = 1e-3 the curvature term is 3.3e-7, above rounding
+        R = t / tau
+        (a,) = fmp_intrinsic_area(tau, [R])
+        series = 1.0 + t * t / 3.0 - 2.0 * t**4 / 9.0
+        assert abs(a / (math.pi * R * R) - series) <= 5.0 * t**6 + 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(tau=st.floats(0.05, 20.0), t=st.floats(1e-3, 60.0))
+    def test_homothety(self, tau, t):
+        # (x, y) -> (tau x, tau y) maps u = tau x y's metric to tau^2 times
+        # that of u = x y, so A_tau(R) = A_1(tau R) / tau^2
+        (a,) = fmp_intrinsic_area(tau, [t / tau])
+        (a1,) = fmp_intrinsic_area(1.0, [t])
+        assert math.isclose(a * tau * tau, a1, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 30.0])
+    def test_lower_bound_holds(self, R):
+        surf = fmp_surface(1.0, 0.0)
+        (a,) = surf.closed_forms["intrinsic_area"]([R])
+        assert a >= surf.closed_forms["intrinsic_area_lower_bound"](R)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2, 0.3, 1.0, 4.0, 12.0, 40.0, 100.0])
+    def test_node_doubling_converges(self, t):
+        levels = [surfaces._fmp_area_level(1.0, np.array([t]), n)[0] for n in (64, 128)]
+        assert math.isclose(levels[0], levels[1], rel_tol=1e-8)
+        (a,) = fmp_intrinsic_area(1.0, [t])
+        assert math.isclose(a, levels[1], rel_tol=1e-10)
+
+    @pytest.mark.parametrize("t", [300.0, 1e3, 1e4])
+    def test_large_radii_converge_or_raise(self, t):
+        try:
+            (a,) = fmp_intrinsic_area(1.0, [t])
+        except ConvergenceError:
+            return
+        # the distance is at least |x| and at least |y|, so the ball lies over
+        # the square |x|, |y| <= R, whose graph has area
+        # 2 R (R sqrt(1 + 4 R^2) + asinh(2 R) / 2)
+        lb = fmp_surface(1.0, 0.0).closed_forms["intrinsic_area_lower_bound"](t)
+        assert lb <= a <= 2.0 * t * (t * math.sqrt(1.0 + 4.0 * t * t)
+                                     + 0.5 * math.asinh(2.0 * t))
+
+    def test_unconverged_levels_raise(self, monkeypatch):
+        monkeypatch.setattr(surfaces, "FMP_AREA_TOL", 0.0)
+        with pytest.raises(ConvergenceError) as info:
+            fmp_intrinsic_area(1.0, [4.0, 8.0])
+        n = surfaces.FMP_AREA_BASE_N * 2 ** (surfaces.FMP_AREA_LEVELS - 1)
+        finest = surfaces._fmp_area_level(1.0, np.array([4.0, 8.0]), n)
+        assert np.array_equal(info.value.best, finest)
+
+    def test_shapes_zero_and_tiny_radii(self):
+        areas = fmp_intrinsic_area(1.0, [[0.0, 1e-9], [2.0, 3.0]])
+        assert areas.shape == (2, 2)
+        assert areas[0, 0] == 0.0
+        assert math.isclose(areas[0, 1], math.pi * 1e-18, rel_tol=1e-15)
+        assert np.array_equal(areas[1], fmp_intrinsic_area(1.0, [2.0, 3.0]))
+
+    @pytest.mark.parametrize("radii", [[float("nan")], [float("inf")], [-1.0], [1.0, -0.5]])
+    def test_bad_radii_raise(self, radii):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            fmp_intrinsic_area(1.0, radii)
+
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    @pytest.mark.parametrize("c", [0.05, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("y", [0.3, 2.0, 6.0])
+    def test_clairaut_endpoint_matches_geodesic_ode(self, tau, c, y):
+        # the surface geodesic x'' = -2 (f'/f) x' y', y'' = f f' x'^2 from the
+        # origin with unit velocity (c, sqrt(1 - c^2)) is at (X(c, y), y)
+        # after the arclength S(c, y)
+        ell, U = np.array([math.log1p(-c * c)]), np.array([2.0 * tau * y])
+        W, I1, I2, _ = surfaces._clairaut_integrals(ell, U, 128)
+        S = float(W[0] + I1[0]) / (2.0 * tau)
+        X = c * float(W[0] + I1[0] - I2[0]) / (2.0 * tau)
+
+        def rhs(_s, q):
+            x, yy, vx, vy = q
+            f2 = 1.0 + 4.0 * tau * tau * yy * yy
+            ff = 4.0 * tau * tau * yy  # f f'
+            return [vx, vy, -2.0 * ff / f2 * vx * vy, ff * vx * vx]
+
+        sol = solve_ivp(rhs, (0.0, S), [0.0, 0.0, c, math.sqrt(1.0 - c * c)],
+                        method="DOP853", rtol=1e-12, atol=1e-12)
+        x_end, y_end = sol.y[0, -1], sol.y[1, -1]
+        assert math.isclose(x_end, X, rel_tol=1e-8)
+        assert math.isclose(y_end, y, rel_tol=1e-8)
+
+    @pytest.mark.parametrize("y", [0.5, 3.0])
+    def test_slices_grow_with_the_slope(self, y):
+        # S and X increase with c at fixed y, so each slice of B_R is the
+        # interval |x| < X(c*, y) that the area integrates
+        c = np.linspace(0.0, 0.999999, 200)
+        W, I1, I2, _ = surfaces._clairaut_integrals(np.log1p(-c * c), np.full(c.size, 2.0 * y), 64)
+        S, X = W + I1, c * (W + I1 - I2)
+        assert np.all(np.diff(S) > 0.0) and np.all(np.diff(X) > 0.0)
 
 
 class TestCatenoid:
