@@ -64,8 +64,9 @@ class GrowthReport:
 # Region areas
 # ---------------------------------------------------------------------------
 
-def _ray_stop(dist, theta, r_lo, r_hi, R: float):
-    """Per-angle radius in [r_lo, r_hi] at which dist along the ray reaches R.
+def _ray_stop(dist, theta, r_lo, r_hi, R):
+    """Radius in [r_lo, r_hi] at which dist along the ray at angle theta
+    reaches R, for every ray of the four arguments broadcast together.
 
     ``dist(x, y)`` is the vectorized ambient distance of the graph points
     over (x, y).  A ray already at distance >= R at r_lo stops there, and one
@@ -73,27 +74,33 @@ def _ray_stop(dist, theta, r_lo, r_hi, R: float):
     sign, and Illinois regula falsi narrows the bracket (a step that leaves
     it becomes a bisection) until it is at most 4 ulps of r wide, or a probe
     lands on the root.  A probe whose distance is nan moves neither end.
+    Every ray, whatever its radius, is probed in the same dist call, and
+    each ray's probes are those of a solve of that ray alone.
     Assumes the region cut by each ray is an interval starting at r_lo
     (valid for the star-shaped regions the examples produce).
     ConvergenceError, carrying the stops found so far (nan on the open
-    rays) in ``best``, is raised after RAY_MAX_ITER probes.
+    rays) in ``best``, in the broadcast shape, is raised after RAY_MAX_ITER
+    probes.
     """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (theta, r_lo, r_hi, R)))
+    shape = arrays[0].shape
+    theta, r_lo, r_hi, R = (a.ravel() for a in arrays)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    ends = np.array([[r_lo], [r_hi]])
+    ends = np.array([r_lo, r_hi])
     f_lo, f_hi = dist(ends * cos_t, ends * sin_t) - R
     inside_lo = f_lo < 0.0
     stop = np.where(inside_lo, r_hi, r_lo)
     idx = np.nonzero(inside_lo & ~(f_hi < 0.0))[0]
     stop[idx] = np.nan
     f_lo, f_hi = f_lo[idx], f_hi[idx]
-    lo, hi = np.full(idx.size, r_lo), np.full(idx.size, r_hi)
+    lo, hi, target = r_lo[idx], r_hi[idx], R[idx]
     moved = np.zeros(idx.size)  # the end the last probe replaced: -1 lo, +1 hi
     for _ in range(RAY_MAX_ITER):
         if idx.size == 0:
             break
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-        f = dist(x * cos_t[idx], x * sin_t[idx]) - R
+        f = dist(x * cos_t[idx], x * sin_t[idx]) - target
         below, above = f < 0.0, f >= 0.0
         # Illinois: an end kept through two probes in a row has its value halved
         f_lo = np.where(above & (moved > 0.0), 0.5 * f_lo, f_lo)
@@ -104,40 +111,52 @@ def _ray_stop(dist, theta, r_lo, r_hi, R: float):
         done = (hi - lo <= RAY_REL_WIDTH * hi) | (f == 0.0)
         stop[idx[done]] = hi[done]
         keep = ~done
-        idx, lo, hi, f_lo, f_hi, moved = (
-            idx[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep], moved[keep])
+        idx, lo, hi, f_lo, f_hi, moved, target = (
+            idx[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep], moved[keep], target[keep])
     if idx.size:
         raise ConvergenceError(
             f"ray stops not bracketed to {RAY_REL_WIDTH:.1e} after {RAY_MAX_ITER} "
-            f"probes on {idx.size} rays, e.g. theta={theta[idx[0]]:.17g}",
-            best=stop,
+            f"probes on {idx.size} rays, e.g. R={R[idx[0]]:.17g}, "
+            f"theta={theta[idx[0]]:.17g}",
+            best=stop.reshape(shape),
         )
-    return stop
+    return stop.reshape(shape)
 
 
-def _extrinsic_area(g: GraphSurface, R: float) -> float:
-    """Area of the graph inside B_R(0) by radial quadrature on EXTRINSIC_N_THETA
-    rays, EXTRINSIC_N_R Gauss-Legendre nodes each.
+def _extrinsic_areas(g: GraphSurface, radii, n_theta: int = EXTRINSIC_N_THETA) -> np.ndarray:
+    """Areas of the graph inside B_R(0) for every R in radii, by radial
+    quadrature on n_theta rays, EXTRINSIC_N_R Gauss-Legendre nodes each.
 
     Each ray is cut where the ambient distance of the graph point,
-    ``geodesics.ball_distance``, reaches R (``_ray_stop``), and the area density
-    is integrated up to there by Gauss-Legendre in r.  The ball projects
-    into the base disk D_R, so a domain that D_R misses gives area 0.
+    ``geodesics.ball_distance``, reaches R, and the area density is
+    integrated up to there by Gauss-Legendre in r.  One ``_ray_stop`` solve
+    cuts the rays of all radii.  The ball projects into the base disk D_R,
+    so a radius whose D_R misses the domain gives area 0.  A graph whose
+    balls about the origin meet it in rotation-invariant sets (u of r alone
+    over an uncut disk or annulus) is measured exactly on n_theta = 1.
     """
+    radii = np.asarray(radii, dtype=float)
+    limits = np.array([_quad_limits(g, base_disk_model_radius(g.sp, R))
+                       for R in radii]).reshape(-1, 2)
+    meets = np.nonzero(limits[:, 1] > limits[:, 0])[0]
+    areas = np.zeros(radii.size)
+    if meets.size == 0:
+        return areas
+    r_lo, r_cap = limits[meets, 0, None], limits[meets, 1, None]
+    eps = r_lo + 1e-9 * np.maximum(r_cap, 1.0)
+    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     dist = lambda x, y: ball_distance(g.sp, np.hypot(x, y), g.u(x, y))
-    re = base_disk_model_radius(g.sp, R)
-    r_lo, r_cap = _quad_limits(g, re)
-    if r_cap <= r_lo:
-        return 0.0
-    theta = (np.arange(EXTRINSIC_N_THETA) + 0.5) * (2.0 * math.pi / EXTRINSIC_N_THETA)
-    eps = r_lo + 1e-9 * max(r_cap, 1.0)
-    stop = _ray_stop(dist, theta, eps, r_cap, R)
+    stops = _ray_stop(dist, theta, eps, r_cap, radii[meets, None])
     nodes, weights = leggauss(EXTRINSIC_N_R)
-    half = 0.5 * (stop - eps)
-    r = eps + half[:, None] * (nodes + 1.0)
-    w = half[:, None] * weights
-    dens = _area_density(g)(r * np.cos(theta)[:, None], r * np.sin(theta)[:, None])
-    return float(np.sum(w * dens * r) * (2.0 * math.pi / EXTRINSIC_N_THETA))
+    density = _area_density(g)
+    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    # one radius at a time, so the nodes never outgrow one ball's
+    for k, start, stop in zip(meets, eps[:, 0], stops):
+        half = 0.5 * (stop - start)
+        r = start + half[:, None] * (nodes + 1.0)
+        w = half[:, None] * weights
+        areas[k] = np.sum(w * density(r * cos_t, r * sin_t) * r) * (2.0 * math.pi / n_theta)
+    return areas
 
 
 def _induced_metric(g: GraphSurface, x, y):
@@ -267,9 +286,12 @@ def region_areas(g, family: str, radii) -> list[float]:
     (surface geodesic balls about the point over the origin) or "cylinder"
     (solid cylinders over the base disk D_R); any other name raises
     ValueError, as does a radius that is not finite or is negative, before
-    anything is solved; no radii give [].  Cylinders, and every family on an
-    ExampleSurface whose extrinsic_equals_base_disk says so (the umbrellas),
-    cut the graph over D_R.  Intrinsic balls of all radii come from the
+    anything is solved; no radii give [].  Every family on an ExampleSurface
+    whose extrinsic_equals_base_disk says so (the umbrellas) cuts the graph
+    over D_R, and its closed form "extrinsic_area" gives the area.  Cylinders
+    cut the graph over D_R.  Extrinsic balls of all radii come from one
+    ``_extrinsic_areas`` solve, on a single ray when the ExampleSurface is
+    rotational.  Intrinsic balls of all radii come from the
     ExampleSurface's closed form "intrinsic_area" where it has one (the fmp
     graph u = tau x y), else from one intrinsic_area_table.
     """
@@ -284,10 +306,13 @@ def region_areas(g, family: str, radii) -> list[float]:
         return []
     example = isinstance(g, ExampleSurface)
     gg = g.graph if example else g
-    if family == "cylinder" or (example and g.extrinsic_equals_base_disk):
+    if example and g.extrinsic_equals_base_disk:
+        return [float(g.closed_forms["extrinsic_area"](R)) for R in radii]
+    if family == "cylinder":
         return [graph_area(gg, base_disk_model_radius(gg.sp, R)).value for R in radii]
     if family == "extrinsic":
-        return [_extrinsic_area(gg, R) for R in radii]
+        n_theta = 1 if example and g.rotational else EXTRINSIC_N_THETA
+        return [float(a) for a in _extrinsic_areas(gg, radii, n_theta)]
     exact = g.closed_forms.get("intrinsic_area") if example else None
     table = exact(radii) if exact else intrinsic_area_table(gg, radii)
     return [float(a) for a in table]

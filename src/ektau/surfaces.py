@@ -51,7 +51,12 @@ class ExampleSurface:
     closed_forms maps quantity names to callables of the radius
     ("intrinsic_area" takes a sequence of radii and returns their areas);
     extrinsic_equals_base_disk says that the intersection with the ambient
-    ball B_R(0) is exactly the graph over the base disk D_R.
+    ball B_R(0) is exactly the graph over the base disk D_R, whose area the
+    closed form "extrinsic_area" must then give; rotational says
+    that u depends on the base radius r alone and the domain is an uncut
+    disk or annulus.  The rotations about the fiber through the origin are
+    isometries that fix the graph and every ball B_R(0) then, so one ray
+    measures the area of their intersection.
     """
 
     name: str
@@ -59,6 +64,7 @@ class ExampleSurface:
     closed_forms: dict = field(default_factory=dict)
     minimal: bool = True
     extrinsic_equals_base_disk: bool = False
+    rotational: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +124,8 @@ def umbrella(sp: SpaceParams) -> ExampleSurface:
             * math.sqrt(4.0 * sp.tau**2 - sp.kappa)
             / (-sp.kappa * math.sqrt(-sp.kappa))
         )
-    return ExampleSurface("umbrella", g, forms, minimal=True, extrinsic_equals_base_disk=True)
+    return ExampleSurface("umbrella", g, forms, minimal=True,
+                          extrinsic_equals_base_disk=True, rotational=True)
 
 
 def affine_plane(tau: float, a: float, b: float) -> ExampleSurface:
@@ -373,6 +380,7 @@ def catenoid(tau: float, E: float) -> ExampleSurface:
         g,
         {"height": lambda r: catenoid_height(tau, E, r), "slope_limit": E * tau},
         minimal=True,
+        rotational=True,
     )
 
 

@@ -9,14 +9,14 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.stats import linregress
 
-from ektau import growth, surfaces
+from ektau import cli, growth, surfaces
 from ektau.core import SpaceParams, base_disk_model_radius
 from ektau.balls import volume_growth_fit
 from ektau.errors import ConvergenceError, HypothesisViolationError, UnsupportedSpaceError
 from ektau.geodesics import ball_distance
 from ektau.graphs import BaseDomain, GraphSurface, _quad_limits, graph_area
 from ektau.growth import (
-    _extrinsic_area,
+    _extrinsic_areas,
     _induced_metric,
     _intrinsic_distances,
     _ray_stop,
@@ -67,18 +67,25 @@ def _coo_intrinsic_distances(g, L, n, limit=np.inf):
                     limit=limit).reshape(n, n)
 
 
-def _bisection_ray_stops(g, R, theta, r_lo, r_hi, n_bisect=48):
-    """Oracle ray stops: boolean bisection on ball membership along each ray."""
-    member = lambda r: ball_distance(
-        g.sp, np.hypot(r * np.cos(theta), r * np.sin(theta)),
-        g.u(r * np.cos(theta), r * np.sin(theta)), radius=R)
-    lo, hi = np.full_like(theta, r_lo), np.full_like(theta, r_hi)
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        inside = member(mid)
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    stop = np.where(member(np.full_like(theta, r_hi)), r_hi, lo)
-    return np.where(member(np.full_like(theta, r_lo)), stop, r_lo)
+def _bisection_ray_stops(g, theta, r_lo, r_hi, R, n_bisect=48):
+    """Oracle ray stops: boolean bisection on ball membership along each ray,
+    for the rays of the four arguments broadcast together, one radius at a
+    time."""
+    theta, r_lo, r_hi, R = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (theta, r_lo, r_hi, R)))
+    stop = np.empty(theta.shape)
+    for radius in np.unique(R):
+        ray = R == radius
+        c, s, lo, hi = np.cos(theta[ray]), np.sin(theta[ray]), r_lo[ray], r_hi[ray]
+        member = lambda r: ball_distance(g.sp, np.hypot(r * c, r * s), g.u(r * c, r * s),
+                                         radius=radius)
+        a, b = lo, hi
+        for _ in range(n_bisect):
+            mid = 0.5 * (a + b)
+            inside = member(mid)
+            a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+        stop[ray] = np.where(member(lo), np.where(member(hi), hi, a), lo)
+    return stop
 
 
 def _tilted_product_graph():
@@ -95,13 +102,19 @@ class TestRegionFamilies:
             with pytest.raises(ValueError, match="family must be"):
                 region_areas(fmp_surface(1.0, 0.0), family, [2.0])
 
-    def test_umbrella_families_coincide(self):
-        surf = umbrella(SpaceParams(0.0, 1.0))
-        R = 2.0
-        exact = _umbrella_area_nil(1.0, R)
-        for family in ("cylinder", "extrinsic", "intrinsic"):
-            (area,) = region_areas(surf, family, [R])
-            assert math.isclose(area, exact, rel_tol=1e-6), family
+    def test_umbrella_families_coincide(self, monkeypatch):
+        # every family reads the closed form: no quadrature, ray or grid runs
+        def solved(*args, **kwargs):
+            raise AssertionError("an umbrella area was solved, not read")
+
+        for name in ("graph_area", "_extrinsic_areas", "intrinsic_area_table"):
+            monkeypatch.setattr(growth, name, solved)
+        radii = [0.0, 2.0, 3.5]
+        for kappa in (0.0, -1.0):
+            surf = umbrella(SpaceParams(kappa, 1.0))
+            exact = [surf.closed_forms["extrinsic_area"](R) for R in radii]
+            for family in ("cylinder", "extrinsic", "intrinsic"):
+                assert region_areas(surf, family, radii) == exact, (kappa, family)
 
     def test_umbrella_extrinsic_without_flag(self):
         # drop the structural flag so the generic ray-membership path runs
@@ -132,7 +145,7 @@ class TestRegionFamilies:
         # carrying u = tau x y to itself and B_R(0) to itself
         g = fmp_surface(1.0, 0.0).graph
         q = replace(g, domain=BaseDomain(lambda x, y: (x > 0.0) & (y > 0.0)))
-        assert math.isclose(_extrinsic_area(q, R), 0.25 * _extrinsic_area(g, R),
+        assert math.isclose(_extrinsic_areas(q, [R])[0], 0.25 * _extrinsic_areas(g, [R])[0],
                             rel_tol=1e-12)
 
     def test_intrinsic_table_stays_in_the_domain(self):
@@ -154,7 +167,7 @@ class TestRegionFamilies:
         sp = SpaceParams(-1.0, 1.0)
         g = GraphSurface(sp, BaseDomain.full_plane(), lambda x, y: np.asarray(x, float))
         with pytest.raises(UnsupportedSpaceError):
-            _extrinsic_area(g, 1.0)
+            _extrinsic_areas(g, [1.0])
         with pytest.raises(UnsupportedSpaceError):
             region_areas(g, "extrinsic", [1.0])
 
@@ -258,7 +271,7 @@ class TestRegionFamilies:
         def solved(*args, **kwargs):
             raise AssertionError("solved before the radii were checked")
 
-        for name in ("_intrinsic_distances", "_extrinsic_area", "graph_area"):
+        for name in ("_intrinsic_distances", "_extrinsic_areas", "graph_area"):
             monkeypatch.setattr(growth, name, solved)
         monkeypatch.setattr(surfaces, "_fmp_area_level", solved)
         with pytest.raises(ValueError, match="radii must be finite and >= 0"):
@@ -291,7 +304,7 @@ class TestRayStops:
         eps = r_lo + 1e-9 * max(r_cap, 1.0)
         dist = lambda x, y: ball_distance(g.sp, np.hypot(x, y), g.u(x, y))
         stop = _ray_stop(dist, theta, eps, r_cap, R)
-        expected = _bisection_ray_stops(g, R, theta, eps, r_cap)
+        expected = _bisection_ray_stops(g, theta, eps, r_cap, R)
         assert np.max(np.abs(stop / expected - 1.0)) <= 1e-12
         assert np.any((stop > eps) & (stop < r_cap))
 
@@ -315,6 +328,33 @@ class TestRayStops:
             _ray_stop(dist, theta, 0.5, 3.0, 1.0)
         assert np.all(np.isnan(info.value.best))
 
+    @pytest.mark.parametrize("surface", ["fmp", "fmp-0.5", "plane"])
+    def test_one_solve_equals_the_per_radius_solves(self, surface):
+        g = {"fmp": fmp_surface(1.0, 0.0), "fmp-0.5": fmp_surface(1.0, 0.5),
+             "plane": affine_plane(1.0, 1.0, 0.5)}[surface].graph
+        radii = np.array([1.5, 3.0, 7.0, 10.0])
+        theta = (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
+        eps = 1e-9 * np.maximum(radii, 1.0)
+        dist = lambda x, y: ball_distance(g.sp, np.hypot(x, y), g.u(x, y))
+        stops = _ray_stop(dist, theta, eps[:, None], radii[:, None], radii[:, None])
+        assert stops.shape == (radii.size, theta.size)
+        for k, R in enumerate(radii):
+            assert np.array_equal(stops[k], _ray_stop(dist, theta, eps[k], R, R))
+        areas = _extrinsic_areas(g, radii)
+        assert np.array_equal(areas, [_extrinsic_areas(g, [R])[0] for R in radii])
+
+    def test_open_rays_keep_every_radius_stops(self):
+        # d = r but nan near r = 2: the rays of R = 1 close, those of R = 2 cannot
+        theta = np.linspace(0.0, 1.0, 4)
+        dist = lambda x, y: np.where(np.abs(np.hypot(x, y) - 2.0) < 0.1, np.nan,
+                                     np.hypot(x, y))
+        with pytest.raises(ConvergenceError, match=r"R=2, theta=") as info:
+            _ray_stop(dist, theta, 0.5, 3.0, np.array([[1.0], [2.0]]))
+        best = info.value.best
+        assert best.shape == (2, 4)
+        assert np.allclose(best[0], 1.0, rtol=1e-14, atol=0.0)
+        assert np.all(np.isnan(best[1]))
+
     def test_catenoid_row_calls_height_at_most_80_times(self, monkeypatch):
         calls = []
         height = surfaces.catenoid_height
@@ -327,6 +367,55 @@ class TestRayStops:
         (rep,) = table1_suite(["catenoid-extrinsic"])
         assert len(rep.samples) == 6
         assert 6 <= len(calls) <= 80
+
+
+ROTATIONAL = {
+    "umbrella-nil": (lambda: umbrella(SpaceParams(0.0, 1.0)), [0.0, 0.5, 2.0, 4.0]),
+    "umbrella-h2xr": (lambda: umbrella(SpaceParams(-1.0, 0.0)), [0.0, 0.5, 2.0, 4.0]),
+    "umbrella-sl2": (lambda: umbrella(SpaceParams(-1.0, 1.0)), [0.0, 0.5, 2.0, 4.0]),
+    # R <= E misses the graph; E + 1e-3 cuts it just outside the neck
+    "catenoid-0.5": (lambda: catenoid(0.5, 1.0), [0.5, 1.0, 1.001, 2.0, 4.5]),
+    "catenoid-1": (lambda: catenoid(1.0, 1.0), [0.5, 1.0, 1.001, 2.0, 4.5]),
+    "catenoid-2": (lambda: catenoid(2.0, 1.0), [0.5, 1.0, 1.001, 2.0, 4.5]),
+}
+
+
+class TestRotational:
+    """Every example that sets ``rotational``: its one-ray extrinsic area is
+    exact only if the flag tells the truth."""
+
+    @pytest.mark.parametrize("name", list(ROTATIONAL))
+    def test_u_and_area_density_are_rotation_invariant(self, name):
+        surf = ROTATIONAL[name][0]()
+        g = surf.graph
+        assert surf.rotational and g.domain.cut is None
+        rng = np.random.default_rng(7)
+        r_max = min(g.domain.r_in + 4.0, 0.95 * g.sp.model_radius)
+        r = rng.uniform(g.domain.r_in + 0.05, r_max, 200)
+        phi, turn = rng.uniform(0.0, 2.0 * math.pi, (2, 200))
+        x, y = r * np.cos(phi), r * np.sin(phi)
+        xt, yt = r * np.cos(phi + turn), r * np.sin(phi + turn)
+        assert np.all(g.domain.membership(x, y)) and np.all(g.domain.membership(xt, yt))
+        density = growth._area_density(g)
+        for f in (g.u, density):
+            np.testing.assert_allclose(f(xt, yt), f(x, y), rtol=1e-13, atol=1e-13)
+
+    def test_no_other_cli_example_sets_it(self):
+        for name in cli.EXAMPLES:
+            surf = cli._build_example(cli.build_parser().parse_args(
+                ["growth", "--example", name]))
+            assert surf.rotational == (name in ("umbrella", "catenoid")), name
+
+    # kappa < 0, tau > 0 has no exact ambient distance for the rays to cut
+    @pytest.mark.parametrize("name", [n for n in ROTATIONAL if n != "umbrella-sl2"])
+    def test_one_ray_matches_the_256_ray_path(self, name):
+        # the plain GraphSurface carries no flag, so it takes EXTRINSIC_N_THETA rays
+        build, radii = ROTATIONAL[name]
+        surf = build()
+        areas = region_areas(surf, "extrinsic", radii)
+        rays = region_areas(surf.graph, "extrinsic", radii)
+        np.testing.assert_allclose(areas, rays, rtol=1e-12, atol=0.0)
+        assert all((a == 0.0) == (R <= surf.graph.domain.r_in) for R, a in zip(radii, areas))
 
 
 class TestFitsAndVerdicts:
@@ -489,9 +578,10 @@ class TestGoldenRows:
     @pytest.mark.parametrize("name,areas", [
         ("umbrella-nil", [21.32165400107589, 64.13619333624744, 203.06764794764382,
                           663.351957189087, 2123.795043231779, 7113.665286435447]),
-        ("umbrella-hyperbolic", [105.61029641496573, 337.01770063191606,
-                                 984.8857472398115, 2765.111137494798,
-                                 7623.513792371762, 20849.3106279354]),
+        # the closed form _umbrella_area, not the annulus quadrature
+        ("umbrella-hyperbolic", [105.61029641496641, 337.01770063192083,
+                                 984.8857472396104, 2765.1111374934494,
+                                 7623.5137923680295, 20849.31062788381]),
         ("fmp-intrinsic", [122.04569168877254, 223.29669453719805, 460.50184087018744,
                            824.0278918435134, 1551.800192364908, 2615.954288306937]),
         ("entire-cylinder-lower", [285.1634110863714, 919.7209250978759,
